@@ -88,10 +88,17 @@ class EdgeSolution:
     omega: float
     gamma: float
 
+    def _log_amplitude(self) -> float:
+        # log A, finite even where A itself underflows
+        lam = self.lambda_plus
+        return 0.5 * (math.log(0.5 * math.expm1(2 * lam)) - 2 * lam * self.n
+                      - _log_one_minus_exp(2 * lam * self.n))
+
     def v_vector(self) -> np.ndarray:
         """Doubled right singular vector (hole block = +i particle block)."""
         sites = np.arange(self.n)
-        top = self.amplitude_a * np.exp((1j * self.k_plus + self.lambda_plus) * sites)
+        top = np.exp(self._log_amplitude()
+                     + (1j * self.k_plus + self.lambda_plus) * sites)
         return np.concatenate([top, 1j * top])
 
     def u_vector(self) -> np.ndarray:
@@ -99,9 +106,8 @@ class EdgeSolution:
         sites = np.arange(self.n)
         top = (
             np.exp(1j * self.phi_u)
-            * self.amplitude_a
             * np.exp(1j * self.k_plus * sites)
-            * np.exp(self.lambda_plus * (self.n - 1 - sites))
+            * np.exp(self._log_amplitude() + self.lambda_plus * (self.n - 1 - sites))
         )
         return np.concatenate([top, 1j * top])
 
@@ -122,7 +128,9 @@ def edge_solution(omega: float, gamma: float, n: int) -> EdgeSolution:
     _require_single_edge(omega, gamma)
     lam = lambda_plus(omega, gamma)
     k = k_plus(omega, gamma)
-    amp = math.sqrt((math.expm1(2 * lam)) / (math.expm1(2 * lam * n)) / 2.0)
+    # expm1(2 lam) / expm1(2 lam n), in a form that underflows instead of
+    # overflowing at large lam n
+    amp = math.sqrt(math.expm1(2 * lam) * _exp_ratio(2 * lam * n) / 2.0)
     return EdgeSolution(
         lambda_plus=lam,
         lambda_minus=lambda_minus(omega, gamma),
@@ -242,13 +250,13 @@ def hybridized_zero_singular_value(omega: float, gamma: float, n: int) -> float:
     Its relative error against the exact value of
     :func:`zero_singular_value` shrinks like ``exp(-2 lambda n)``, so it is
     quantitatively accurate only where the edge mode is deeply localized.
-    The magnitude is returned (a singular value is nonnegative).
+    It is evaluated as ``2 (1 - exp(-2 lambda)) exp(-lambda n) / (1 -
+    exp(-2 lambda n))``, which underflows to zero rather than overflowing
+    at large ``lambda n``.
     """
     _require_single_edge(omega, gamma)
     lam = lambda_plus(omega, gamma)
-    return abs(
-        2.0 * math.exp(lam * (n - 2)) * math.expm1(2 * lam) / math.expm1(2 * lam * n)
-    )
+    return 2.0 * -math.expm1(-2 * lam) * math.exp(-lam * n) / -math.expm1(-2 * lam * n)
 
 
 def gaussian_prediction(l: int, j: int) -> float:

@@ -147,7 +147,14 @@ class RunConfig:
             raise ConfigError(f"unknown model {self.data['model']!r}")
         if self.data["boundary"] not in ("obc", "pbc"):
             raise ConfigError(f"unknown boundary {self.data['boundary']!r}")
+        for key, default in _DEFAULTS.items():
+            if isinstance(default, dict) and not isinstance(self.data[key], dict):
+                raise ConfigError(f"{key} must be a mapping")
         og = self.data["omega_grid"]
+        for section in ("params", "omega_grid"):
+            for key, val in self.data[section].items():
+                if isinstance(val, (int, float)) and not math.isfinite(val):
+                    raise ConfigError(f"{section}.{key} must be finite, got {val}")
         if og["count"] < 2:
             raise ConfigError("omega_grid.count must be >= 2")
         if not og["min"] < og["max"]:
@@ -283,12 +290,11 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         # Band structure is a property of the matrix family, not of a steady
         # state, so the stability gate does not apply under pbc.
         n_k = int(cfg.data["winding"]["n_k"])
-        ks = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
-        dim = 2 * c.unit_cell
+        bloch = bloch_matrix(c, np.linspace(-np.pi, np.pi, n_k, endpoint=False))
+        eye = np.eye(bloch.shape[-1])
         rows = []
         for w in omegas:
-            mats = np.stack([w * np.eye(dim) - bloch_matrix(c, k) for k in ks])
-            svals = np.linalg.svd(mats, compute_uv=False)
+            svals = np.linalg.svd(w * eye - bloch, compute_uv=False)
             band_min = np.sort(svals, axis=1).min(axis=0)  # ascending per band
             for i, s in enumerate(band_min):
                 rows.append((w, i, s))
@@ -315,7 +321,7 @@ def cmd_winding(cfg: RunConfig) -> int:
         "closings": list(arr.closings), "nus": list(arr.nus), "stable": arr.stable,
     })
     nu0 = winding_number(c, 0.0, int(wcfg["n_k"]))
-    print(f"winding array: {arr.nus} closings at {[round(x, 6) for x in arr.closings]}"
+    print(f"winding array: {arr.nus} closings at {[round(float(x), 6) for x in arr.closings]}"
           f" (nu(0) = {nu0})")
     for p in out.written:
         print(p)

@@ -22,7 +22,7 @@ from numpy.polynomial.legendre import leggauss
 from numpy.typing import NDArray
 
 from .models import CouplingSet, assert_stable, dynamical_matrix
-from .greensvd import SvdTriple, amplification_matrix, svd_at
+from .greensvd import SvdTriple, amplification_matrix, factorize, svd_at
 
 ZERO_OCCUPATION_TOL = 1e-14
 RANK1_VALIDITY_RATIO = 0.1
@@ -167,23 +167,15 @@ def rank1_approximation(t: SvdTriple, c: CouplingSet) -> FreqCorrelations:
 def _integrand_factory(c: CouplingSet):
     """Return w -> G*(w) diag(P, Gamma) G(w)^T evaluated through the SVD.
 
-    The SVD gauge cancels inside the product, so the factory bypasses the
-    per-call symmetry detection and phase fixing of :func:`svd_at`.
+    The SVD gauge cancels inside the product, so the integrand takes
+    :func:`factorize` directly and skips the phase fixing of :func:`svd_at`.
     """
-    from .greensvd import _channel_svd, _dense_svd_ascending, _symmetric_channels
-
     h = dynamical_matrix(c)
     n = c.n
-    channels = _symmetric_channels(c)
     p_zero = not np.any(c.p_mat)
 
-    def factorize(omega):
-        if channels is not None:
-            return _channel_svd(omega, *channels, n)
-        return _dense_svd_ascending(omega * np.eye(2 * n) - h.h)
-
     def integrand(omega):
-        u, s, v = factorize(omega)
+        u, s, v = factorize(h, omega)
         core = u[n:].T @ c.gamma_mat @ u[n:].conj()
         if not p_zero:
             core = core + u[:n].T @ c.p_mat @ u[:n].conj()

@@ -8,22 +8,26 @@ moments with the left singular vectors.
 
 For the symmetric chain (pure imaginary uniform hopping matching the
 off-diagonal pairing, zero detuning, uniform loss, no gain) the shifted
-matrix splits into two bidiagonal channels.  ``svd_at`` detects this and
-routes through a phase-rescaled real bidiagonal SVD, which resolves the
-exponentially small topological singular value to full relative accuracy;
-the generic dense SVD only bounds its error in units of ``eps * s_max``.
+matrix splits into two bidiagonal channels.  The chain's
+``DynamicalMatrix`` records this once (``channels``), and ``factorize``
+then routes through a phase-rescaled real bidiagonal SVD, which resolves
+the exponentially small topological singular value to full relative
+accuracy; the generic dense SVD only bounds its error in units of
+``eps * s_max``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
 from .models import CouplingSet, DynamicalMatrix
+# The channel detector is a fact about the chain and lives in models; the
+# SVD route's callers import it from here as well.
+from .models import symmetric_channels as _symmetric_channels  # noqa: F401
 
 RESONANCE_TOL = 1e-14
 _GAUGE_ANCHOR_REL = 1e-8
@@ -90,48 +94,6 @@ class GreenFunction:
     @property
     def g_prime(self):
         return self.g_full[self.n:, self.n:]
-
-    @cached_property
-    def condition_number(self) -> float:
-        s = np.linalg.svd(self.g_full, compute_uv=False)
-        return float(s[0] / s[-1])
-
-
-def _symmetric_channels(c: CouplingSet):
-    """Return (J, g_s, gamma) if the chain splits into bidiagonal channels."""
-    n = c.n
-    if n < 2 or c.unit_cell != 1:
-        return None
-    if np.any(c.p_mat != 0):
-        return None
-    gam = c.gamma_mat[0, 0]
-    if not np.allclose(c.gamma_mat, gam * np.eye(n), atol=1e-14):
-        return None
-    if np.any(np.abs(np.diag(c.j_mat)) > 1e-14):
-        return None
-    hop = c.j_mat[1, 0]
-    if abs(hop.real) > 1e-14:
-        return None
-    j = hop.imag
-    g_s = c.k_mat[0, 0]
-    g_c = c.k_mat[1, 0]
-    if abs(g_c - j) > 1e-14 or abs(g_s.imag) > 1e-14 or abs(g_c.imag) > 1e-14:
-        return None
-    expect_j = np.zeros((n, n), dtype=complex)
-    expect_k = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(expect_k, g_s)
-    for m in range(n - 1):
-        expect_j[m + 1, m] = 1j * j
-        expect_j[m, m + 1] = -1j * j
-        expect_k[m + 1, m] = g_c
-        expect_k[m, m + 1] = g_c
-    # exp(1j*pi/2) carries ~1e-16 real dirt, so compare with a tolerance far
-    # below any physical scale but above that dirt
-    if np.linalg.norm(c.j_mat - expect_j, np.inf) > 1e-13:
-        return None
-    if np.linalg.norm(c.k_mat - expect_k, np.inf) > 1e-13:
-        return None
-    return float(j), float(g_s.real), float(gam)
 
 
 def _bidiagonal_svd(n, diag, offdiag, lower):
@@ -261,6 +223,21 @@ def _fix_gauge(u, v):
     return u * phases, v * phases
 
 
+def factorize(h: DynamicalMatrix, omega: float):
+    """``(u, s, v)`` with ``omega*I - H = u diag(s) v^dagger``, ``s`` ascending.
+
+    Takes the two-channel route when the chain has symmetric channels
+    (``h.channels``) and the refined dense SVD otherwise.  The phase gauge
+    is left as the factorization returns it.
+    """
+    if h.channels is not None:
+        return _channel_svd(omega, *h.channels, h.n)
+    try:
+        return _dense_svd_ascending(omega * np.eye(2 * h.n) - h.h)
+    except np.linalg.LinAlgError as exc:
+        raise ResonanceError(f"SVD failed to converge at omega={omega}") from exc
+
+
 def svd_at(h: DynamicalMatrix, omega: float) -> SvdTriple:
     """Full SVD of ``omega*I - H`` with ascending singular values.
 
@@ -268,16 +245,7 @@ def svd_at(h: DynamicalMatrix, omega: float) -> SvdTriple:
     (see :func:`_fix_gauge`); comparisons against analytic vectors should
     still use overlap magnitudes since degenerate subspaces remain free.
     """
-    n2 = h.h.shape[0]
-    channels = _symmetric_channels(h.source) if h.source is not None else None
-    if channels is not None:
-        u, s, v = _channel_svd(omega, *channels, n2 // 2)
-    else:
-        a = omega * np.eye(n2) - h.h
-        try:
-            u, s, v = _dense_svd_ascending(a)
-        except np.linalg.LinAlgError as exc:
-            raise ResonanceError(f"SVD failed to converge at omega={omega}") from exc
+    u, s, v = factorize(h, omega)
     u, v = _fix_gauge(u, v)
     return SvdTriple(omega=float(omega), u=u, s=s, v=v)
 

@@ -7,6 +7,12 @@ matrices: a Hermitian hopping matrix ``j_mat``, a symmetric pairing matrix
 the linear Langevin dynamics of the ``2n`` mode operators in the doubled
 (particle, hole) representation.
 
+A translationally invariant chain is described once, by its cell blocks
+(``CouplingSet.cell_blocks``): the builders state only those, and
+:func:`_tile` lays them out on the open chain, or on the ring for
+:func:`pbc_dynamical_matrix`.  Every generator, in real space or at a
+wavevector, is assembled by the one function :func:`_generator`.
+
 Hopping phase convention: the sub-diagonal carries the phase factor,
 ``j_mat[i+1, i] = J * exp(1j * phi)``.  The Fourier sign in
 :func:`bloch_matrix` uses ``exp(+1j * k * d)`` for a displacement ``d`` of
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -144,6 +151,12 @@ class DynamicalMatrix:
     def n(self) -> int:
         return self.h.shape[0] // 2
 
+    @cached_property
+    def channels(self) -> tuple[float, float, float] | None:
+        """The symmetric-channel verdict of the source chain, decided once;
+        see :func:`symmetric_channels`."""
+        return symmetric_channels(self.source) if self.source is not None else None
+
 
 @dataclass(frozen=True)
 class DisorderRealization:
@@ -166,18 +179,32 @@ def gaussian_disorder(n: int, w: float, seed: int) -> DisorderRealization:
     return DisorderRealization(deltas=w * rng.standard_normal(n), seed=seed, w=w)
 
 
-def _chain_couplings(n, j, g_s, g_c, delta, phi, gamma):
-    j_mat = np.zeros((n, n), dtype=complex)
-    k_mat = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(j_mat, delta)
-    np.fill_diagonal(k_mat, g_s)
-    hop = j * np.exp(1j * phi)
-    for m in range(n - 1):
-        j_mat[m + 1, m] = hop
-        j_mat[m, m + 1] = np.conj(hop)
-        k_mat[m + 1, m] = g_c
-        k_mat[m, m + 1] = g_c
-    return j_mat, k_mat, gamma * np.eye(n), np.zeros((n, n))
+def _tile(cell_blocks, unit_cell, n_cells, periodic):
+    """Real-space ``(J, K, Gamma, P)`` of ``n_cells`` cells from cell blocks.
+
+    Block ``X_d`` couples cell ``m`` to cell ``m + d``.  On the open chain
+    the couplings that fall off an end are dropped; with ``periodic`` they
+    wrap around the ring.  ``Gamma`` and ``P`` are real.
+    """
+    m, cells = unit_cell, np.arange(n_cells)
+    mats = [np.zeros((n_cells, m, n_cells, m), dtype=complex) for _ in range(2)]
+    mats += [np.zeros((n_cells, m, n_cells, m)) for _ in range(2)]
+    for d, (jd, kd, gd, pd) in cell_blocks.items():
+        rows = cells + d
+        if periodic:
+            rows %= n_cells
+        keep = (rows >= 0) & (rows < n_cells)
+        for x, blk in zip(mats, (jd, kd, gd.real, pd.real)):
+            x[rows[keep], :, cells[keep], :] += blk
+    return tuple(x.reshape(m * n_cells, m * n_cells) for x in mats)
+
+
+def _chain(cell_blocks, unit_cell, n_cells) -> CouplingSet:
+    j_mat, k_mat, g_mat, p_mat = _tile(cell_blocks, unit_cell, n_cells, periodic=False)
+    return CouplingSet(
+        j_mat=j_mat, k_mat=k_mat, gamma_mat=g_mat, p_mat=p_mat,
+        unit_cell=unit_cell, translationally_invariant=True, cell_blocks=cell_blocks,
+    )
 
 
 def _chain_cell_blocks(j, g_s, g_c, delta, phi, gamma, p=0.0):
@@ -193,17 +220,10 @@ def build_model_i(params: ModelIParams) -> CouplingSet:
     """Homogeneous chain: complex nearest-neighbour hopping, on-site and
     nearest-neighbour pairing, uniform local loss, no gain.  Open boundary.
     """
-    j_mat, k_mat, g_mat, p_mat = _chain_couplings(
-        params.n_sites, params.j, params.g_s, params.g_c,
-        params.delta, params.phi, params.gamma,
+    blocks = _chain_cell_blocks(
+        params.j, params.g_s, params.g_c, params.delta, params.phi, params.gamma
     )
-    return CouplingSet(
-        j_mat=j_mat, k_mat=k_mat, gamma_mat=g_mat, p_mat=p_mat,
-        unit_cell=1, translationally_invariant=True,
-        cell_blocks=_chain_cell_blocks(
-            params.j, params.g_s, params.g_c, params.delta, params.phi, params.gamma
-        ),
-    )
+    return _chain(blocks, 1, params.n_sites)
 
 
 def build_model_ii_full(params: ModelIIParams) -> CouplingSet:
@@ -214,45 +234,19 @@ def build_model_ii_full(params: ModelIIParams) -> CouplingSet:
     at ``gamma_prime`` and couple to both neighbours through
     ``g_c_prime``.
     """
-    n = 2 * params.n_cells
-    j_mat = np.zeros((n, n), dtype=complex)
-    k_mat = np.zeros((n, n), dtype=complex)
-    g_mat = np.zeros((n, n))
     hop = params.j * np.exp(1j * params.phi)
-    for s in range(n):
-        if s % 2 == 0:
-            j_mat[s, s] = params.delta
-            k_mat[s, s] = params.g_s
-            g_mat[s, s] = params.gamma
-        else:
-            g_mat[s, s] = params.gamma_prime
-    for s in range(n - 2):
-        if s % 2 == 0:
-            j_mat[s + 2, s] = hop
-            j_mat[s, s + 2] = np.conj(hop)
-            k_mat[s + 2, s] = params.g_c
-            k_mat[s, s + 2] = params.g_c
-    for s in range(n - 1):
-        k_mat[s + 1, s] = params.g_c_prime
-        k_mat[s, s + 1] = params.g_c_prime
-
     z = np.zeros((2, 2), dtype=complex)
     d0_j = np.diag([params.delta, 0.0]).astype(complex)
     d0_k = np.array([[params.g_s, params.g_c_prime], [params.g_c_prime, 0]], dtype=complex)
     d0_g = np.diag([params.gamma, params.gamma_prime]).astype(complex)
     d1_j = z.copy(); d1_j[0, 0] = hop
     d1_k = z.copy(); d1_k[0, 0] = params.g_c; d1_k[0, 1] = params.g_c_prime
-    dm1_j = d1_j.conj().T
-    dm1_k = d1_k.T
     cell_blocks = {
         0: (d0_j, d0_k, d0_g, z),
         1: (d1_j, d1_k, z, z),
-        -1: (dm1_j, dm1_k, z, z),
+        -1: (d1_j.conj().T, d1_k.T, z, z),
     }
-    return CouplingSet(
-        j_mat=j_mat, k_mat=k_mat, gamma_mat=g_mat, p_mat=np.zeros((n, n)),
-        unit_cell=2, translationally_invariant=True, cell_blocks=cell_blocks,
-    )
+    return _chain(cell_blocks, 2, params.n_cells)
 
 
 def adiabatic_eliminate(params: ModelIIParams, edge_correction: bool = False) -> CouplingSet:
@@ -274,30 +268,55 @@ def adiabatic_eliminate(params: ModelIIParams, edge_correction: bool = False) ->
     """
     if params.gamma_prime == 0:
         raise ValueError("adiabatic elimination is singular at gamma_prime = 0")
-    n = params.n_cells
-    j_mat, k_mat, g_mat, _ = _chain_couplings(
-        n, params.j, params.g_s, params.g_c, params.delta, params.phi, params.gamma
-    )
     q = 4.0 * params.g_c_prime**2 / params.gamma_prime
-    p_mat = np.zeros((n, n))
-    np.fill_diagonal(p_mat, 2 * q)
-    for m in range(n - 1):
-        p_mat[m + 1, m] = q
-        p_mat[m, m + 1] = q
-    if edge_correction:
-        p_mat[0, 0] = q
-        return CouplingSet(
-            j_mat=j_mat, k_mat=k_mat, gamma_mat=g_mat, p_mat=p_mat,
-            unit_cell=1, translationally_invariant=False,
-        )
+    blocks = _chain_cell_blocks(
+        params.j, params.g_s, params.g_c, params.delta, params.phi, params.gamma, p=q
+    )
+    if not edge_correction:
+        return _chain(blocks, 1, params.n_cells)
+    j_mat, k_mat, g_mat, p_mat = _tile(blocks, 1, params.n_cells, periodic=False)
+    p_mat[0, 0] = q
     return CouplingSet(
         j_mat=j_mat, k_mat=k_mat, gamma_mat=g_mat, p_mat=p_mat,
-        unit_cell=1, translationally_invariant=True,
-        cell_blocks=_chain_cell_blocks(
-            params.j, params.g_s, params.g_c, params.delta, params.phi,
-            params.gamma, p=q,
-        ),
+        unit_cell=1, translationally_invariant=False,
     )
+
+
+def symmetric_channels(c: CouplingSet) -> tuple[float, float, float] | None:
+    """``(J, g_s, gamma)`` if the chain splits into two bidiagonal channels.
+
+    That is the chain :func:`build_model_i` builds with pure imaginary
+    hopping ``iJ`` equal to the off-diagonal pairing, zero detuning, uniform
+    loss and no gain; anything else gives ``None``.
+    """
+    n = c.n
+    if n < 2 or c.unit_cell != 1:
+        return None
+    if np.any(c.p_mat != 0):
+        return None
+    gam = c.gamma_mat[0, 0]
+    if not np.allclose(c.gamma_mat, gam * np.eye(n), atol=1e-14):
+        return None
+    if np.any(np.abs(np.diag(c.j_mat)) > 1e-14):
+        return None
+    hop = c.j_mat[1, 0]
+    if abs(hop.real) > 1e-14:
+        return None
+    j = hop.imag
+    g_s = c.k_mat[0, 0]
+    g_c = c.k_mat[1, 0]
+    if abs(g_c - j) > 1e-14 or abs(g_s.imag) > 1e-14 or abs(g_c.imag) > 1e-14:
+        return None
+    # Only the couplings are compared (the uniform loss was checked above),
+    # so the expected chain is built lossless and its construction cannot
+    # fail.  exp(1j*pi/2) carries ~1e-16 real dirt, so compare with a
+    # tolerance far below any physical scale but above that dirt.
+    expect = build_model_i(ModelIParams(n_sites=n, j=j, g_s=g_s, g_c=g_c))
+    if np.linalg.norm(c.j_mat - expect.j_mat, np.inf) > 1e-13:
+        return None
+    if np.linalg.norm(c.k_mat - expect.k_mat, np.inf) > 1e-13:
+        return None
+    return float(j), float(g_s.real), float(gam)
 
 
 def apply_disorder(base: CouplingSet, realization: DisorderRealization) -> CouplingSet:
@@ -318,17 +337,35 @@ def apply_disorder(base: CouplingSet, realization: DisorderRealization) -> Coupl
     )
 
 
+def _rates(gamma, p):
+    """The diagonal block ``D = i(P - Gamma)/2`` of the generator."""
+    return 0.5j * (p - gamma)
+
+
+def _generator(j, k, d, hole=None):
+    """The generator layout ``[[J + D, K], [-K*, -J* + D]]``.
+
+    Works over any leading batch axes.  In real space the hole row holds
+    the conjugates of ``J`` and ``K`` themselves; a Bloch form passes
+    ``hole = (J(-k), K(-k))``, whose conjugates fill it instead.
+    """
+    j_h, k_h = (j, k) if hole is None else hole
+    n = j.shape[-1]
+    out = np.empty(j.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    out[..., :n, :n] = j + d
+    out[..., :n, n:] = k
+    out[..., n:, :n] = -k_h.conj()
+    out[..., n:, n:] = -j_h.conj() + d
+    return out
+
+
 def dynamical_matrix(c: CouplingSet) -> DynamicalMatrix:
     """Assemble the 2n x 2n non-Hermitian dynamical matrix.
 
     Blocks: ``[[J + i(P-Gamma)/2, K], [-K*, -J* + i(P-Gamma)/2]]``.
     """
-    d = 0.5j * (c.p_mat - c.gamma_mat)
-    h = np.block([
-        [c.j_mat + d, c.k_mat],
-        [-c.k_mat.conj(), -c.j_mat.conj() + d],
-    ])
-    return DynamicalMatrix(h=h, source=c)
+    d = _rates(c.gamma_mat, c.p_mat)
+    return DynamicalMatrix(h=_generator(c.j_mat, c.k_mat, d), source=c)
 
 
 def particle_hole_conjugation(n: int) -> NDArray[np.float64]:
@@ -342,71 +379,43 @@ def phs_residual(h: DynamicalMatrix) -> float:
     return float(np.linalg.norm(c @ h.h.conj() @ c + h.h, np.inf))
 
 
-def bloch_matrix(c: CouplingSet, k: float) -> ComplexMatrix:
+def _require_cells(c: CouplingSet, what: str) -> None:
+    if not c.translationally_invariant or c.cell_blocks is None:
+        raise ValueError(f"{what} requires a translationally invariant chain")
+
+
+def bloch_matrix(c: CouplingSet, k) -> ComplexMatrix:
     """Momentum-space dynamical matrix of the periodic chain at wavevector k.
 
     Returns the ``2M x 2M`` block (M = unit cell size) obtained by the
     unitary plane-wave transform applied identically to particle and hole
     sectors, so that ``det(w - H_pbc) = prod_m det(w - H(k_m))`` over
-    ``k_m = 2 pi m / n_cells``.
+    ``k_m = 2 pi m / n_cells``.  An array of wavevectors gives a stack of
+    shape ``k.shape + (2M, 2M)``.
     """
-    if not c.translationally_invariant or c.cell_blocks is None:
-        raise ValueError("bloch_matrix requires a translationally invariant chain")
-    m = c.unit_cell
-    jk = np.zeros((m, m), dtype=complex)
-    kk = np.zeros((m, m), dtype=complex)
-    dk = np.zeros((m, m), dtype=complex)
-    jmk = np.zeros((m, m), dtype=complex)
-    kmk = np.zeros((m, m), dtype=complex)
+    _require_cells(c, "bloch_matrix")
+    ks = np.asarray(k, dtype=float)[..., None, None]
+    plus, minus = [0, 0, 0], [0, 0]
     for d, (jd, kd, gd, pd) in c.cell_blocks.items():
-        w = np.exp(1j * k * d)
-        jk += jd * w
-        kk += kd * w
-        dk += 0.5j * (pd - gd) * w
-        jmk += jd / w
-        kmk += kd / w
-    return np.block([
-        [jk + dk, kk],
-        [-kmk.conj(), -jmk.conj() + dk],
-    ])
+        w = np.exp(1j * ks * d)
+        plus = [acc + x * w for acc, x in zip(plus, (jd, kd, _rates(gd, pd)))]
+        minus = [acc + x / w for acc, x in zip(minus, (jd, kd))]
+    return _generator(*plus, hole=minus)
 
 
 def pbc_dynamical_matrix(c: CouplingSet) -> ComplexMatrix:
     """Real-space dynamical matrix with periodic wraparound couplings."""
-    if not c.translationally_invariant or c.cell_blocks is None:
-        raise ValueError("periodic closure requires a translationally invariant chain")
-    m = c.unit_cell
-    n_cells = c.n // m
-    mats = [np.zeros((c.n, c.n), dtype=complex) for _ in range(4)]
-    for d, blocks in c.cell_blocks.items():
-        for cell in range(n_cells):
-            row = (cell + d) % n_cells
-            for x, blk in zip(mats, blocks):
-                x[row * m:(row + 1) * m, cell * m:(cell + 1) * m] += blk
-    j_mat, k_mat, g_mat, p_mat = mats
-    dd = 0.5j * (p_mat - g_mat)
-    return np.block([
-        [j_mat + dd, k_mat],
-        [-k_mat.conj(), -j_mat.conj() + dd],
-    ])
+    _require_cells(c, "periodic closure")
+    j_mat, k_mat, g_mat, p_mat = _tile(
+        c.cell_blocks, c.unit_cell, c.n // c.unit_cell, periodic=True
+    )
+    return _generator(j_mat, k_mat, _rates(g_mat, p_mat))
 
 
 # ---------------------------------------------------------------------------
 # Stability gate
 
 STABILITY_TOL = 1e-10
-
-
-def growth_rate(h: DynamicalMatrix | ComplexMatrix) -> float:
-    """Largest imaginary part of the spectrum, from a dense eigensolve.
-
-    For strongly non-normal chains the eigensolve can overestimate this
-    badly (the computed eigenvalues scatter over the pseudospectrum), so an
-    apparent positive rate is not conclusive; see
-    :func:`is_dynamically_stable`.
-    """
-    mat = h.h if isinstance(h, DynamicalMatrix) else h
-    return float(np.max(np.linalg.eigvals(mat).imag))
 
 
 def _certified_decay(mat: ComplexMatrix, tau: float = 1.0, max_doublings: int = 24) -> bool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .models import CouplingSet, DynamicalMatrix
+from .models import CouplingSet, DynamicalMatrix, bloch_matrix
 
 DET_CLOSING_TOL = 1e-12
 _PHASE_INTEGER_TOL = 1e-6
@@ -61,27 +61,8 @@ class WindingArray:
 
 def _bloch_determinants(c: CouplingSet, omega: float, n_k: int) -> NDArray[np.complex128]:
     """det(w*I - H(k)) on the momentum grid, assembled in one batch."""
-    ks = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
-    m = c.unit_cell
-    jk = np.zeros((n_k, m, m), dtype=complex)
-    kk = np.zeros((n_k, m, m), dtype=complex)
-    dk = np.zeros((n_k, m, m), dtype=complex)
-    jmk = np.zeros((n_k, m, m), dtype=complex)
-    kmk = np.zeros((n_k, m, m), dtype=complex)
-    for d, (jd, kd, gd, pd) in c.cell_blocks.items():
-        w = np.exp(1j * ks * d)[:, None, None]
-        jk += jd * w
-        kk += kd * w
-        dk += 0.5j * (pd - gd) * w
-        jmk += jd * w.conj()
-        kmk += kd * w.conj()
-    mats = np.empty((n_k, 2 * m, 2 * m), dtype=complex)
-    mats[:, :m, :m] = -(jk + dk)
-    mats[:, :m, m:] = -kk
-    mats[:, m:, :m] = kmk.conj()
-    mats[:, m:, m:] = jmk.conj() - dk
-    mats[:, np.arange(2 * m), np.arange(2 * m)] += omega
-    return np.linalg.det(mats)
+    mats = bloch_matrix(c, np.linspace(-np.pi, np.pi, n_k, endpoint=False))
+    return np.linalg.det(omega * np.eye(mats.shape[-1]) - mats)
 
 
 def winding_number(c: CouplingSet, omega: float, n_k: int = 256) -> int:

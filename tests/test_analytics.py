@@ -50,6 +50,41 @@ class TestEdgeSolution:
         assert np.max(np.abs(interior)) < 1e-10
 
 
+class TestLargeSize:
+    """Where lambda*n passes ~355, exp(lambda*n) overflows a double."""
+
+    def test_finite_at_large_n(self):
+        sol = tc.edge_solution(0.0, 3.0, 600)
+        assert math.isfinite(sol.amplitude_a)
+        for vec in (sol.v_vector(), sol.u_vector()):
+            assert np.all(np.isfinite(vec))
+            assert np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-12)
+        s0 = tc.hybridized_zero_singular_value(0.0, 3.0, 600)
+        assert math.isfinite(s0) and s0 >= 0.0
+        assert s0 == tc.zero_singular_value(0.0, 3.0, 600)[0]  # both underflow
+
+    @pytest.mark.parametrize("n", [2, 5, 10, 20, 50])
+    def test_agrees_with_the_direct_form_at_small_n(self, n):
+        checked = 0
+        for gamma in (3.0, 4.0, 5.0):
+            for omega in np.linspace(-1.5, 1.5, 13):
+                if tc.phase_region(omega, gamma) is not PhaseRegion.SINGLE_EDGE_TOPOLOGICAL:
+                    continue
+                lam = lambda_plus(omega, gamma)
+                ratio = math.expm1(2 * lam) / math.expm1(2 * lam * n)
+                sol = tc.edge_solution(omega, gamma, n)
+                amp = math.sqrt(ratio / 2.0)
+                assert sol.amplitude_a == pytest.approx(amp, rel=1e-14, abs=0)
+                s0 = 2.0 * math.exp(lam * (n - 2)) * ratio
+                assert tc.hybridized_zero_singular_value(omega, gamma, n) == pytest.approx(
+                    s0, rel=1e-14, abs=0)
+                sites = np.arange(n)
+                top = amp * np.exp((1j * sol.k_plus + lam) * sites)
+                np.testing.assert_allclose(sol.v_vector()[:n], top, rtol=1e-13, atol=0)
+                checked += 1
+        assert checked >= 20
+
+
 class TestZeroSingularValue:
     def test_reference_value(self):
         fin, asy = tc.zero_singular_value(0.0, 5.0, n=20)

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 import yaml
 
-from topocorr.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_UNSTABLE, RunConfig, main
+from topocorr.cli import (
+    EXIT_CONFIG,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_UNSTABLE,
+    ConfigError,
+    RunConfig,
+    main,
+)
 
 
 def run(argv):
@@ -36,6 +44,22 @@ class TestRunConfig:
     def test_bad_model_rejected(self):
         with pytest.raises(Exception):
             RunConfig.load(None, {"model": "nonsense"})
+
+    @pytest.mark.parametrize("section,key", [
+        ("params", "gamma"), ("params", "j"), ("omega_grid", "max"), ("omega_grid", "count"),
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_values_rejected(self, section, key, value):
+        with pytest.raises(ConfigError, match=f"{section}.{key} must be finite"):
+            RunConfig.load(None, {section: {key: value}})
+
+    @pytest.mark.parametrize("section", ["params", "omega_grid", "outputs"])
+    def test_section_must_be_a_mapping(self, tmp_path, section):
+        f = tmp_path / "cfg.yaml"
+        f.write_text(f"{section}: null\n")
+        with pytest.raises(ConfigError, match=f"{section} must be a mapping"):
+            RunConfig.load(str(f))
 
     def test_hash_changes_with_content(self):
         a = RunConfig.load(None, {"seed": 1})
@@ -110,6 +134,18 @@ class TestWindingCommand:
             payload["closings"], [-np.sqrt(3), np.sqrt(3)], atol=2e-2
         )
 
+    def test_summary_line_prints_plain_floats(self, tmp_path, capsys):
+        rc = run([
+            "winding", "--model", "model_i", "--gamma", "4.0", "--n-sites", "2",
+            "--omega-count", "201", "--out", str(tmp_path),
+        ])
+        assert rc == EXIT_OK
+        closings = json.loads(read_lines(tmp_path / "winding.json")[1])["closings"]
+        rounded = ", ".join(repr(round(x, 6)) for x in closings)
+        assert capsys.readouterr().out.splitlines()[0] == (
+            f"winding array: (0, 1, 0) closings at [{rounded}] (nu(0) = 1)"
+        )
+
 
 class TestCorrelationsCommand:
     def test_outputs(self, tmp_path):
@@ -165,6 +201,16 @@ def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("model: not_a_model\n")
     assert run(["spectrum", "--config", str(bad)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("flags", [
+    ["--gamma", "nan"], ["--gamma", "inf"], ["--omega-max", "inf"], ["--omega-min", "nan"],
+], ids=["gamma-nan", "gamma-inf", "omega-max-inf", "omega-min-nan"])
+def test_non_finite_flag_is_a_config_error(tmp_path, capsys, flags):
+    rc = run(["spectrum", "--n-sites", "4", "--omega-count", "3", "--out", str(tmp_path)]
+             + flags)
+    assert rc == EXIT_CONFIG
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_gap_closing_reported_as_numerical_failure(tmp_path):

@@ -13,6 +13,40 @@ def pure_loss_chain(n=4, gamma=2.0):
     ))
 
 
+class TestChannelVerdict:
+    def test_decided_once_per_generator(self, model_i_topo_50):
+        h = tc.dynamical_matrix(model_i_topo_50)
+        assert h.channels == _symmetric_channels(model_i_topo_50) == (1.0, 1.0, 4.0)
+        assert "channels" in vars(h)  # cached on the generator
+
+    @pytest.mark.parametrize("chain", [
+        tc.build_model_i(tc.ModelIParams(n_sites=6, phi=1.2, gamma=4.0)),
+        tc.build_model_i(tc.ModelIParams(n_sites=6, g_c=0.5, gamma=4.0)),
+        tc.build_model_i(tc.ModelIParams(n_sites=6, delta=0.1, gamma=4.0)),
+        tc.adiabatic_eliminate(tc.ModelIIParams(n_cells=6, gamma=3.0)),
+        tc.build_model_ii_full(tc.ModelIIParams(n_cells=3, gamma=3.0)),
+        tc.apply_disorder(tc.build_model_i(tc.ModelIParams(n_sites=6, gamma=4.0)),
+                          tc.gaussian_disorder(6, 0.3, 1)),
+    ], ids=["phase", "pairing", "detuning", "gain", "dimer", "disorder"])
+    def test_other_chains_take_the_dense_route(self, chain):
+        assert tc.dynamical_matrix(chain).channels is None
+
+
+class TestFactorize:
+    @pytest.mark.parametrize("chain", [
+        tc.build_model_i(tc.ModelIParams(n_sites=12, gamma=4.0)),
+        tc.build_model_i(tc.ModelIParams(n_sites=12, phi=1.2, gamma=4.0)),
+    ], ids=["channel", "dense"])
+    def test_svd_at_is_factorize_with_the_gauge_fixed(self, chain):
+        h = tc.dynamical_matrix(chain)
+        u, s, v = tc.factorize(h, 0.4)
+        t = tc.svd_at(h, 0.4)
+        np.testing.assert_array_equal(s, t.s)
+        # the gauge fix multiplies each column by a unit phase
+        np.testing.assert_allclose(np.abs(u), np.abs(t.u), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.abs(v), np.abs(t.v), rtol=0, atol=1e-15)
+
+
 class TestSvdAt:
     def test_pure_loss_isotropic(self):
         t = tc.svd_at(tc.dynamical_matrix(pure_loss_chain()), 0.0)

@@ -1,0 +1,26 @@
+"""Structural rules of the package source."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "topocorr"
+
+
+def private_imports(path):
+    """``from <topocorr module> import _name`` statements anywhere in a file."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and not (node.module or "").startswith("topocorr"):
+            continue
+        for alias in node.names:
+            dunder = alias.name.startswith("__") and alias.name.endswith("__")
+            if alias.name.startswith("_") and not dunder:
+                yield f"{path.name}:{node.lineno}: imports {alias.name} from {node.module}"
+
+
+def test_no_module_imports_another_modules_private_helpers():
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) >= 10
+    found = [hit for path in files for hit in private_imports(path)]
+    assert not found, "\n".join(found)

@@ -12,6 +12,12 @@ from topocorr.models import (
 
 PI_HALF = np.pi / 2
 
+BUILDERS = pytest.mark.parametrize("build", [
+    lambda n: tc.build_model_i(tc.ModelIParams(n_sites=n, gamma=3.3)),
+    lambda n: tc.adiabatic_eliminate(tc.ModelIIParams(n_cells=n, gamma=3.3)),
+    lambda n: tc.build_model_ii_full(tc.ModelIIParams(n_cells=n, gamma=3.3)),
+], ids=["model_i", "model_ii_effective", "model_ii_full"])
+
 
 class TestModelI:
     def test_small_chain_entries(self):
@@ -252,11 +258,7 @@ class TestBlochMatrix:
             expected = 0.5j * q * (2 + 2 * np.cos(k))
             assert hk[0, 0] == pytest.approx(expected + 2 * np.cos(k + PI_HALF), abs=1e-12)
 
-    @pytest.mark.parametrize("build", [
-        lambda n: tc.build_model_i(tc.ModelIParams(n_sites=n, gamma=3.3)),
-        lambda n: tc.adiabatic_eliminate(tc.ModelIIParams(n_cells=n, gamma=3.3)),
-        lambda n: tc.build_model_ii_full(tc.ModelIIParams(n_cells=n, gamma=3.3)),
-    ], ids=["model_i", "model_ii_effective", "model_ii_full"])
+    @BUILDERS
     @pytest.mark.parametrize("omega", [0.0, 0.9])
     def test_determinant_product_identity(self, build, omega):
         c = build(12)
@@ -269,6 +271,27 @@ class TestBlochMatrix:
             for m in range(n_cells)
         ])
         assert det_real == pytest.approx(det_prod, rel=1e-8)
+
+    @BUILDERS
+    def test_batch_is_the_stack_of_scalar_calls(self, build):
+        c = build(12)
+        ks = np.linspace(-np.pi, np.pi, 64, endpoint=False)
+        batch = tc.bloch_matrix(c, ks)
+        assert batch.shape == (64, 2 * c.unit_cell, 2 * c.unit_cell)
+        np.testing.assert_array_equal(batch, np.stack([tc.bloch_matrix(c, k) for k in ks]))
+
+    @BUILDERS
+    def test_periodic_closure_only_adds_the_wraparound(self, build):
+        # the open chain drops the couplings that leave it; the ring wraps
+        # exactly those, between the first and the last cell
+        c = build(6)
+        diff = pbc_dynamical_matrix(c) - tc.dynamical_matrix(c).h
+        m, n = c.unit_cell, c.n
+        site = np.arange(2 * n) % n
+        edge_pair = ((site[:, None] < m) & (site[None, :] >= n - m)) | (
+            (site[:, None] >= n - m) & (site[None, :] < m))
+        assert np.any(diff[edge_pair])
+        assert not np.any(diff[~edge_pair])
 
 
 def test_conjugation_operator_is_block_swap():
