@@ -70,7 +70,7 @@ from .models import (
     UnstableSystemError,
     adiabatic_eliminate,
     assert_stable,
-    bloch_matrix,
+    bloch_batch,
     build_model_i,
     build_model_ii_full,
     dynamical_matrix,
@@ -289,8 +289,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     else:
         # Band structure is a property of the matrix family, not of a steady
         # state, so the stability gate does not apply under pbc.
-        n_k = int(cfg.data["winding"]["n_k"])
-        bloch = bloch_matrix(c, np.linspace(-np.pi, np.pi, n_k, endpoint=False))
+        bloch = bloch_batch(c, int(cfg.data["winding"]["n_k"]))
         eye = np.eye(bloch.shape[-1])
         rows = []
         for w in omegas:

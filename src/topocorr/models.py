@@ -11,7 +11,9 @@ A translationally invariant chain is described once, by its cell blocks
 (``CouplingSet.cell_blocks``): the builders state only those, and
 :func:`_tile` lays them out on the open chain, or on the ring for
 :func:`pbc_dynamical_matrix`.  Every generator, in real space or at a
-wavevector, is assembled by the one function :func:`_generator`.
+wavevector, is assembled by the one function :func:`_generator`.  The
+Bloch batch on the momentum grid is kept with the chain and grown on demand
+(:func:`bloch_batch`).
 
 Hopping phase convention: the sub-diagonal carries the phase factor,
 ``j_mat[i+1, i] = J * exp(1j * phi)``.  The Fourier sign in
@@ -138,6 +140,11 @@ class CouplingSet:
     def noise_matrix(self) -> NDArray[np.float64]:
         """Block-diagonal bath moment matrix diag(P, Gamma)."""
         return scipy.linalg.block_diag(self.p_mat, self.gamma_mat)
+
+    @cached_property
+    def _bloch_grid(self) -> _BlochGrid:
+        """The chain's Bloch batch, grown on demand; see :func:`bloch_batch`."""
+        return _BlochGrid()
 
 
 @dataclass(frozen=True)
@@ -401,6 +408,58 @@ def bloch_matrix(c: CouplingSet, k) -> ComplexMatrix:
         plus = [acc + x * w for acc, x in zip(plus, (jd, kd, _rates(gd, pd)))]
         minus = [acc + x / w for acc, x in zip(minus, (jd, kd))]
     return _generator(*plus, hole=minus)
+
+
+@dataclass
+class _BlochGrid:
+    """The finest Bloch batch of one chain built so far; replaced, never
+    modified."""
+
+    mats: ComplexMatrix | None = None
+
+
+def _nested(coarse: int, fine: int) -> bool:
+    """Whether the ``coarse``-point momentum grid is every ``fine/coarse``-th
+    point of the ``fine`` one, bit for bit: the ratio is a power of two."""
+    ratio, rem = divmod(fine, coarse)
+    return rem == 0 and ratio & (ratio - 1) == 0
+
+
+def bloch_batch(c: CouplingSet, n_k: int) -> ComplexMatrix:
+    """:func:`bloch_matrix` on the momentum grid ``k_m = -pi + 2 pi m / n_k``.
+
+    The batch ``(n_k, 2M, 2M)`` is kept with the chain and reused.  Grids
+    whose sizes differ by a power of two are nested bit for bit, so only the
+    finest grid built so far is stored: a coarser ``n_k`` is a strided view of
+    it, and a finer one is reached by doublings that each assemble only the
+    new odd points.  A request not nested with the stored grid gets a batch
+    of its own, which replaces the stored one only if it is finer.  The
+    result is read-only; a stored batch is replaced but never modified, so a
+    concurrent caller sees either the old batch or the new one.
+    """
+    _require_cells(c, "bloch_batch")
+    if n_k < 1:
+        raise ValueError(f"n_k must be positive, got {n_k}")
+    grid = c._bloch_grid
+    mats = grid.mats
+    size = 0 if mats is None else len(mats)
+    if size and _nested(n_k, size):
+        return mats[:: size // n_k]
+    ks = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
+    if size and _nested(size, n_k):
+        while len(mats) < n_k:
+            step = n_k // (2 * len(mats))
+            odd = bloch_matrix(c, ks[step::2 * step])
+            grown = np.empty((2 * len(mats),) + mats.shape[1:], dtype=complex)
+            grown[0::2] = mats
+            grown[1::2] = odd
+            mats = grown
+    else:
+        mats = bloch_matrix(c, ks)
+    mats.flags.writeable = False
+    if n_k > size:
+        grid.mats = mats
+    return mats
 
 
 def pbc_dynamical_matrix(c: CouplingSet) -> ComplexMatrix:

@@ -6,6 +6,15 @@ value on every frequency interval between singular-gap closings yields the
 winding-number array, the steady-state invariant: two chains are
 topologically equivalent iff their arrays have equal length and equal
 entries.
+
+The scan reuses everything that does not depend on the frequency.  The
+Bloch matrices come from the chain's own momentum grid
+(:func:`~topocorr.models.bloch_batch`), assembled once per grid size for
+all frequencies and bisection steps.  When :func:`winding_number` doubles
+the grid, the new grid contains the old one bit for bit, so the
+determinants already computed are kept and only the new odd points are
+evaluated.  Both reuses leave every determinant, and hence every array,
+unchanged bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .models import CouplingSet, DynamicalMatrix, bloch_matrix
+from .models import CouplingSet, DynamicalMatrix, bloch_batch
 
 DET_CLOSING_TOL = 1e-12
 _PHASE_INTEGER_TOL = 1e-6
@@ -59,10 +68,22 @@ class WindingArray:
                    stable=bool(d["stable"]))
 
 
-def _bloch_determinants(c: CouplingSet, omega: float, n_k: int) -> NDArray[np.complex128]:
-    """det(w*I - H(k)) on the momentum grid, assembled in one batch."""
-    mats = bloch_matrix(c, np.linspace(-np.pi, np.pi, n_k, endpoint=False))
-    return np.linalg.det(omega * np.eye(mats.shape[-1]) - mats)
+def _bloch_determinants(
+    c: CouplingSet, omega: float, n_k: int, coarse: NDArray[np.complex128] | None = None
+) -> NDArray[np.complex128]:
+    """det(w*I - H(k)) on the ``n_k``-point momentum grid.
+
+    ``coarse`` holds the determinants on the ``n_k/2``-point grid, which are
+    the even points of this one; given it, only the odd points are evaluated.
+    """
+    mats = bloch_batch(c, n_k)
+    eye = np.eye(mats.shape[-1])
+    if coarse is None:
+        return np.linalg.det(omega * eye - mats)
+    dets = np.empty(n_k, dtype=complex)
+    dets[0::2] = coarse
+    dets[1::2] = np.linalg.det(omega * eye - mats[1::2])
+    return dets
 
 
 def winding_number(c: CouplingSet, omega: float, n_k: int = 256) -> int:
@@ -82,8 +103,9 @@ def winding_number(c: CouplingSet, omega: float, n_k: int = 256) -> int:
         raise ValueError("winding number requires a translationally invariant chain")
     if n_k < 64:
         raise ValueError("n_k must be at least 64")
+    dets = None
     while n_k <= _MAX_NK:
-        dets = _bloch_determinants(c, omega, n_k)
+        dets = _bloch_determinants(c, omega, n_k, dets)
         if np.min(np.abs(dets)) < DET_CLOSING_TOL:
             raise GapClosingError(f"gap closing at omega={omega}")
         increments = np.angle(np.roll(dets, -1) / dets)
@@ -128,6 +150,21 @@ def _refine_closing(c, lo, hi, nu_lo, nu_hi, refine_tol, n_k):
     return 0.5 * (lo + hi)
 
 
+def _nudged_winding(c, w, nudge, n_k):
+    """Winding at ``w + nudge``, else at ``w - nudge``, else GapClosingError."""
+    try:
+        return winding_number(c, w + nudge, n_k)
+    except GapClosingError:
+        pass
+    try:
+        return winding_number(c, w - nudge, n_k)
+    except GapClosingError as exc:
+        raise GapClosingError(
+            f"gap closing at grid frequency omega={w}, and at both nudges "
+            f"omega={w + nudge} and omega={w - nudge}"
+        ) from exc
+
+
 def winding_array(
     c: CouplingSet,
     omega_max: float = 4.0,
@@ -150,7 +187,7 @@ def winding_array(
             nu = winding_number(c, w, n_k)
         except GapClosingError:
             # The grid landed on (or numerically at) a closing; nudge off it.
-            nu = winding_number(c, w + (omegas[1] - omegas[0]) * 1e-3, n_k)
+            nu = _nudged_winding(c, w, (omegas[1] - omegas[0]) * 1e-3, n_k)
         grid_vals.append((w, nu))
     if grid_vals[0][1] != 0 or grid_vals[-1][1] != 0:
         raise ValueError(

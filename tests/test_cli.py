@@ -221,3 +221,26 @@ def test_gap_closing_reported_as_numerical_failure(tmp_path):
         "--out", str(tmp_path),
     ])
     assert rc == EXIT_CONFIG or rc == EXIT_NUMERICAL
+
+
+def test_failed_nudges_exit_numerical(tmp_path, capsys, monkeypatch):
+    # the grid point omega = 0 and both of its nudges sit on a closing
+    from topocorr import topology
+
+    real = topology.winding_number
+
+    def closed_near_zero(c, omega, n_k=256):
+        if abs(omega) < 1e-2:
+            raise topology.GapClosingError(f"gap closing at omega={omega}")
+        return real(c, omega, n_k)
+
+    monkeypatch.setattr(topology, "winding_number", closed_near_zero)
+    rc = run([
+        "winding", "--model", "model_i", "--gamma", "8.0", "--n-sites", "2",
+        "--omega-count", "11", "--out", str(tmp_path),
+    ])
+    assert rc == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure: gap closing at grid frequency omega=0.0" in err
+    assert "both nudges" in err
+    assert not (tmp_path / "winding.json").exists()

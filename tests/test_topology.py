@@ -1,9 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import topocorr as tc
+from topocorr import models, topology
 from topocorr.topology import WindingArray
 
 
@@ -85,6 +89,200 @@ class TestWindingArray:
     def test_length_consistency_enforced(self):
         with pytest.raises(ValueError):
             WindingArray(closings=(0.0,), nus=(0,), stable=True)
+
+
+def model_ii_full(gamma, n=4):
+    return tc.build_model_ii_full(tc.ModelIIParams(n_cells=n, gamma=gamma))
+
+
+def grid(n_k):
+    return np.linspace(-np.pi, np.pi, n_k, endpoint=False)
+
+
+def oracle_winding_number(c):
+    """Reference per-frequency winding number: every call takes
+    det(w*I - H(k)) over the whole grid of a directly assembled Bloch batch,
+    with the doubling rule of :func:`topology.winding_number`; it takes no
+    strided view and reuses no determinant.  The batch is built once per
+    grid size to keep the oracle affordable; ``bloch_matrix`` is
+    deterministic, so its bits are those of a rebuild."""
+    batches = {}
+
+    def winding_number(chain, omega, n_k=256):
+        assert chain is c
+        while n_k <= topology._MAX_NK:
+            if n_k not in batches:
+                batches[n_k] = tc.bloch_matrix(c, grid(n_k))
+            mats = batches[n_k]
+            dets = np.linalg.det(omega * np.eye(mats.shape[-1]) - mats)
+            if np.min(np.abs(dets)) < topology.DET_CLOSING_TOL:
+                raise tc.GapClosingError(f"gap closing at omega={omega}")
+            increments = np.angle(np.roll(dets, -1) / dets)
+            total = increments.sum() / (2 * np.pi)
+            if (np.max(np.abs(increments)) < np.pi / 2
+                    and abs(total - round(total)) < topology._PHASE_INTEGER_TOL):
+                return int(round(total))
+            n_k *= 2
+        raise tc.GapClosingError(f"winding at omega={omega} did not converge")
+
+    return winding_number
+
+
+def outcome(c, scan=None, **kw):
+    """JSON of ``winding_array(c, **kw)``, or the error it raises; ``scan``
+    replaces the per-frequency winding number."""
+    with pytest.MonkeyPatch.context() as mp:
+        if scan is not None:
+            mp.setattr(topology, "winding_number", scan)
+        try:
+            return topology.winding_array(c, **kw).to_json()
+        except (ValueError, tc.GapClosingError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+
+CRITERION_2_CHAINS = {
+    **{f"model_i-{g}": (lambda g=g: model_i(g)) for g in (1.6, 4.0, 8.0)},
+    **{f"effective-{gp}": (lambda gp=gp: effective_ii(4.0, gp, 10 * gp))
+       for gp in (2.0, 2.5, 3.0, 5.0)},
+    "model_ii_full-4": lambda: model_ii_full(3.0),
+}
+
+
+class TestSharedBlochGrid:
+    """The scan reuses the chain's Bloch batch and the coarse determinants;
+    the arrays stay those of the per-call scan, bit for bit."""
+
+    @pytest.mark.parametrize("make", CRITERION_2_CHAINS.values(), ids=CRITERION_2_CHAINS)
+    def test_arrays_match_the_per_call_scan(self, make):
+        c = make()
+        expected = outcome(c, oracle_winding_number(c))
+        assert outcome(c) == expected
+        assert expected.startswith("{")
+
+    @given(gamma=st.floats(2.0, 6.0), g_c_prime=st.floats(1.5, 5.0),
+           gamma_prime=st.floats(15.0, 50.0))
+    @settings(max_examples=6, deadline=None)
+    def test_arrays_match_the_per_call_scan_on_a_sweep(self, gamma, g_c_prime, gamma_prime):
+        c = effective_ii(gamma, g_c_prime, gamma_prime)
+        expected = outcome(c, oracle_winding_number(c), n_omega=101)
+        assert outcome(c, n_omega=101) == expected
+
+    @pytest.mark.parametrize("make", [lambda: model_i(4.0), lambda: model_ii_full(3.0)],
+                             ids=["model_i", "model_ii_full"])
+    def test_coarse_grids_are_strided_views(self, make):
+        c = make()
+        fine = tc.bloch_batch(c, 1024)
+        for n_k in (1024, 512, 256, 64, 1):
+            coarse = tc.bloch_batch(c, n_k)
+            assert np.shares_memory(coarse, fine)
+            assert coarse.tobytes() == tc.bloch_matrix(c, grid(n_k)).tobytes()
+
+    @pytest.mark.parametrize("start,n_k", [(256, 1024), (100, 400), (64, 64)])
+    def test_doubled_grid_is_the_direct_batch(self, start, n_k):
+        c = model_ii_full(3.0)
+        tc.bloch_batch(c, start)
+        assert tc.bloch_batch(c, n_k).tobytes() == tc.bloch_matrix(c, grid(n_k)).tobytes()
+
+    def test_unnested_request_keeps_the_finer_grid(self):
+        c = model_i(4.0)
+        fine = tc.bloch_batch(c, 512)
+        other = tc.bloch_batch(c, 96)
+        assert other.tobytes() == tc.bloch_matrix(c, grid(96)).tobytes()
+        assert np.shares_memory(tc.bloch_batch(c, 128), fine)
+
+    def test_batch_is_read_only(self):
+        mats = tc.bloch_batch(model_i(4.0), 64)
+        with pytest.raises(ValueError):
+            mats[0, 0, 0] = 0.0
+
+    def test_batch_lives_with_its_chain(self):
+        c, twin = model_i(4.0), model_i(4.0)
+        assert not np.shares_memory(tc.bloch_batch(c, 64), tc.bloch_batch(twin, 64))
+        dis = tc.apply_disorder(model_i(4.0, n=4), tc.gaussian_disorder(4, 0.1, 5))
+        with pytest.raises(ValueError):
+            tc.bloch_batch(dis, 64)
+
+    def test_concurrent_requests_see_whole_batches(self):
+        c = model_i(4.0)
+        sizes = [64 * 2 ** (i % 7) for i in range(48)]
+        expected = {n: tc.bloch_matrix(c, grid(n)).tobytes() for n in set(sizes)}
+        wrong = []
+
+        def worker(ns):
+            wrong.extend(n for n in ns if tc.bloch_batch(c, n).tobytes() != expected[n])
+
+        threads = [threading.Thread(target=worker, args=(sizes[i::6][:: (-1) ** i],))
+                   for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_each_k_point_is_assembled_once(self, monkeypatch):
+        sizes = []
+        real = models.bloch_matrix
+
+        def counting(c, k):
+            sizes.append(np.size(k))
+            return real(c, k)
+
+        monkeypatch.setattr(models, "bloch_matrix", counting)
+        c = model_i(1.6)
+        tc.winding_array(c, n_omega=101)
+        tc.winding_number(c, 0.0)
+        # one build at n_k = 256, then one per doubling with only its new points
+        assert len(sizes) >= 2
+        assert sizes == [256] + [256 * 2**i for i in range(len(sizes) - 1)]
+
+    def test_coarse_determinants_are_reused(self):
+        c = model_ii_full(3.0)
+        coarse = topology._bloch_determinants(c, 0.7, 256)
+        fine = topology._bloch_determinants(c, 0.7, 512, coarse)
+        assert fine.tobytes() == topology._bloch_determinants(c, 0.7, 512).tobytes()
+
+
+def failing_near(points, half_width):
+    """``winding_number`` that raises GapClosingError within ``half_width``
+    of any of ``points``, and records every frequency it is asked for."""
+    real = topology.winding_number
+    asked = []
+
+    def scan(c, omega, n_k=256):
+        asked.append(omega)
+        if any(abs(omega - p) <= half_width for p in points):
+            raise tc.GapClosingError(f"gap closing at omega={omega}")
+        return real(c, omega, n_k)
+
+    return scan, asked
+
+
+class TestNudgedRetry:
+    # 101-point grid on [-4, 4]: spacing 0.08, nudge 8e-5; 0.0 is a grid point
+    NUDGE = 8e-5
+
+    def test_mirrored_nudge_when_the_first_fails(self):
+        c = model_i(4.0)
+        scan, asked = failing_near([0.0, self.NUDGE], 1e-9)
+        assert outcome(c, scan, n_omega=101) == outcome(c, n_omega=101)
+        assert any(abs(w + self.NUDGE) < 1e-9 for w in asked)
+
+    def test_both_nudges_failing_is_a_gap_closing(self):
+        scan, _ = failing_near([0.0], 1e-3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(topology, "winding_number", scan)
+            with pytest.raises(tc.GapClosingError) as err:
+                topology.winding_array(model_i(4.0), n_omega=101)
+        msg = str(err.value)
+        nudge = (np.linspace(-4.0, 4.0, 101)[1] + 4.0) * 1e-3
+        assert msg.startswith("gap closing at grid frequency omega=0.0")
+        assert f"both nudges omega={nudge} and omega={-nudge}" in msg
 
 
 class TestTopologicalEquivalence:
