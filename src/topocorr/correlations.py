@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.typing import NDArray
 
-from .models import CouplingSet, assert_stable, dynamical_matrix
+from .models import CouplingSet, DynamicalMatrix, assert_stable, dynamical_matrix
 from .greensvd import SvdTriple, amplification_matrix, factorize, svd_at
 
 ZERO_OCCUPATION_TOL = 1e-14
@@ -126,7 +126,7 @@ def freq_correlations(t: SvdTriple, c: CouplingSet) -> FreqCorrelations:
     vanishes (decoupled, lossless) are flagged and excluded from the
     normalized matrices rather than divided by zero.
     """
-    assert_stable(dynamical_matrix(c), "freq_correlations")
+    assert_stable(c, "freq_correlations")
     n_mat, m_mat = correlation_blocks(t, c)
     n_bar, m_bar, excluded = normalized_forms(n_mat, m_mat)
     return FreqCorrelations(
@@ -164,13 +164,12 @@ def rank1_approximation(t: SvdTriple, c: CouplingSet) -> FreqCorrelations:
 # Equal-time integration
 
 
-def _integrand_factory(c: CouplingSet):
+def _integrand_factory(c: CouplingSet, h: DynamicalMatrix):
     """Return w -> G*(w) diag(P, Gamma) G(w)^T evaluated through the SVD.
 
     The SVD gauge cancels inside the product, so the integrand takes
     :func:`factorize` directly and skips the phase fixing of :func:`svd_at`.
     """
-    h = dynamical_matrix(c)
     n = c.n
     p_zero = not np.any(c.p_mat)
 
@@ -205,10 +204,9 @@ def _tail_next_order(h, noise, omega_max):
     return np.linalg.norm(noise, "fro") * norm_h**4 / (5 * np.pi * omega_max**5) * 3
 
 
-def _choose_omega_max(c, integrand, quad):
+def _choose_omega_max(c, h, integrand, quad):
     if quad.omega_max is not None:
         return float(quad.omega_max)
-    h = dynamical_matrix(c).h
     omega_max = 4.0 * max(np.max(np.abs(np.linalg.eigvals(h))), 1.0)
     probe = np.linspace(-omega_max, omega_max, 41)
     peak = max(float(np.trace(integrand(w)).real) for w in probe)
@@ -233,9 +231,10 @@ def equal_time(c: CouplingSet, quad: QuadratureSpec = QuadratureSpec()) -> Equal
     ``|w| > W``.  The chain must be dynamically stable for the integral to
     exist.
     """
-    assert_stable(dynamical_matrix(c), "equal_time")
-    integrand = _integrand_factory(c)
-    omega_max = _choose_omega_max(c, integrand, quad)
+    assert_stable(c, "equal_time")
+    h = dynamical_matrix(c)
+    integrand = _integrand_factory(c, h)
+    omega_max = _choose_omega_max(c, h.h, integrand, quad)
     nodes, weights = leggauss(quad.panel_nodes)
 
     def panel_integral(lo, hi):
@@ -286,10 +285,9 @@ def equal_time(c: CouplingSet, quad: QuadratureSpec = QuadratureSpec()) -> Equal
             f"estimated error {est_error:.3e}",
             stacklevel=2,
         )
-    h = dynamical_matrix(c).h
     noise = c.noise_matrix
-    total = total + _tail_correction(h, noise, omega_max)
-    est_error += _tail_next_order(h, noise, omega_max)
+    total = total + _tail_correction(h.h, noise, omega_max)
+    est_error += _tail_next_order(h.h, noise, omega_max)
 
     n = c.n
     n_mat = total[:n, :n]

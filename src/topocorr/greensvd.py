@@ -25,9 +25,6 @@ import scipy.linalg
 from numpy.typing import NDArray
 
 from .models import CouplingSet, DynamicalMatrix
-# The channel detector is a fact about the chain and lives in models; the
-# SVD route's callers import it from here as well.
-from .models import symmetric_channels as _symmetric_channels  # noqa: F401
 
 RESONANCE_TOL = 1e-14
 _GAUGE_ANCHOR_REL = 1e-8

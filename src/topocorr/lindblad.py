@@ -24,8 +24,8 @@ def steady_state_moments(c: CouplingSet):
     ``n_mat.T + I`` (bosonic commutation preserved by the dynamics), which
     callers can use as a consistency residual.
     """
+    assert_stable(c, "steady_state_moments")
     h = dynamical_matrix(c)
-    assert_stable(h, "steady_state_moments")
     n = c.n
     cmat = solve_sylvester(h.h.conj(), -h.h.T, 1j * c.noise_matrix)
     return cmat[:n, :n], cmat[:n, n:], cmat

@@ -15,6 +15,13 @@ wavevector, is assembled by the one function :func:`_generator`.  The
 Bloch batch on the momentum grid is kept with the chain and grown on demand
 (:func:`bloch_batch`).
 
+Stability is likewise a fact of the chain: ``CouplingSet.stability`` is
+decided once, on first use, and every steady-state path reads it.  The
+decision runs in real arithmetic on the generator's (x, p) quadrature form
+(:func:`real_form`), with a norm certificate when the eigensolve is
+inconclusive (:func:`is_dynamically_stable`).  Chains are treated as
+immutable: a cached fact is never recomputed.
+
 Hopping phase convention: the sub-diagonal carries the phase factor,
 ``j_mat[i+1, i] = J * exp(1j * phi)``.  The Fourier sign in
 :func:`bloch_matrix` uses ``exp(+1j * k * d)`` for a displacement ``d`` of
@@ -145,6 +152,12 @@ class CouplingSet:
     def _bloch_grid(self) -> _BlochGrid:
         """The chain's Bloch batch, grown on demand; see :func:`bloch_batch`."""
         return _BlochGrid()
+
+    @cached_property
+    def stability(self) -> StabilityVerdict:
+        """Whether every mode of this chain decays, decided once; see
+        :func:`is_dynamically_stable`."""
+        return _decide(_chain_generator(self), STABILITY_TOL)
 
 
 @dataclass(frozen=True)
@@ -366,13 +379,44 @@ def _generator(j, k, d, hole=None):
     return out
 
 
+def _chain_generator(c: CouplingSet) -> ComplexMatrix:
+    return _generator(c.j_mat, c.k_mat, _rates(c.gamma_mat, c.p_mat))
+
+
 def dynamical_matrix(c: CouplingSet) -> DynamicalMatrix:
     """Assemble the 2n x 2n non-Hermitian dynamical matrix.
 
     Blocks: ``[[J + i(P-Gamma)/2, K], [-K*, -J* + i(P-Gamma)/2]]``.
     """
-    d = _rates(c.gamma_mat, c.p_mat)
-    return DynamicalMatrix(h=_generator(c.j_mat, c.k_mat, d), source=c)
+    return DynamicalMatrix(h=_chain_generator(c), source=c)
+
+
+def real_form(mat) -> NDArray[np.float64] | None:
+    """The generator in the real (x, p) quadrature basis, ``A = -i T H T^dagger``.
+
+    ``T = [[I, I], [-iI, iI]]/sqrt(2)`` is unitary, so ``A`` has the
+    eigenvalues of ``H`` times ``-i`` (``Re eig A = Im eig H``) and the
+    same operator norms of its propagator.  For ``H = [[A1, K], [-K*,
+    -A1*]]`` it is, block by block, ``[[Im A1 + Im K, Re A1 - Re K],
+    [-Re A1 - Re K, Im A1 - Im K]]``: real, and assembled with no matrix
+    product.  Returns None unless ``mat`` is exactly in that layout, which
+    every :func:`dynamical_matrix` is.
+    """
+    mat = np.asarray(mat)
+    two_n = mat.shape[-1]
+    if mat.shape != (two_n, two_n) or two_n % 2:
+        return None
+    n = two_n // 2
+    a1, k = mat[:n, :n], mat[:n, n:]
+    if not (np.array_equal(mat[n:, :n], -k.conj())
+            and np.array_equal(mat[n:, n:], -a1.conj())):
+        return None
+    out = np.empty((two_n, two_n))
+    out[:n, :n] = a1.imag + k.imag
+    out[:n, n:] = a1.real - k.real
+    out[n:, :n] = -a1.real - k.real
+    out[n:, n:] = a1.imag - k.imag
+    return out
 
 
 def particle_hole_conjugation(n: int) -> NDArray[np.float64]:
@@ -477,44 +521,92 @@ def pbc_dynamical_matrix(c: CouplingSet) -> ComplexMatrix:
 STABILITY_TOL = 1e-10
 
 
-def _certified_decay(mat: ComplexMatrix, tau: float = 1.0, max_doublings: int = 24) -> bool:
-    """Certify spectral decay from operator norms of powers of exp(-i H tau).
+@dataclass(frozen=True)
+class StabilityVerdict:
+    """How a chain's stability was decided.
 
-    ``||P^m|| < 1`` for any m bounds the spectral radius of P below one and
-    hence every eigenvalue of H strictly below the real axis, regardless of
-    how defective H is.  Powers are accumulated by repeated squaring with
-    norm scaling so transient amplification cannot overflow.
+    ``route`` is ``"eigensolve"`` when the dense eigensolve showed decay,
+    and ``"certificate"`` when the norm certificate of
+    :func:`_certified_decay` gave the verdict; ``doublings`` counts the
+    certificate's squarings (0 on the eigensolve route).
     """
-    p = scipy.linalg.expm(-1j * tau * mat)
+
+    stable: bool
+    route: str
+    doublings: int = 0
+
+
+def _certified_decay(mat, tau: float = 1.0, max_doublings: int = 24) -> StabilityVerdict:
+    """Certify spectral decay from operator norms of powers of the propagator.
+
+    The propagator is ``exp(tau A)`` for a real (x, p) form ``A`` (see
+    :func:`real_form`) and ``exp(-i tau H)`` for a complex generator ``H``;
+    both have the same norms.  ``||P^m|| < 1`` for any m bounds the spectral
+    radius of P below one and hence every mode's growth rate below zero,
+    regardless of how defective the generator is.  Powers are accumulated
+    by repeated squaring with norm scaling so transient amplification
+    cannot overflow.
+    """
+    p = scipy.linalg.expm(tau * mat if np.isrealobj(mat) else -1j * tau * mat)
     log_norm = 0.0
-    for _ in range(max_doublings):
+    for doubling in range(max_doublings):
         nrm = np.linalg.norm(p, 2)
         log_norm += math.log(nrm) if nrm > 0 else -math.inf
         if log_norm < 0:
-            return True
+            return StabilityVerdict(True, "certificate", doubling)
         p = (p / nrm) @ (p / nrm)
         log_norm += log_norm
-    return False
+    return StabilityVerdict(False, "certificate", max_doublings)
+
+
+def _decide(mat, tol: float) -> StabilityVerdict:
+    """The stability verdict of a generator ``mat``.
+
+    A generator in the layout of :func:`dynamical_matrix` is decided on its
+    real form (a real eigensolve, ``Re eig < -tol``); any other matrix keeps
+    the complex eigensolve (``Im eig < -tol``).  The eigensolve verdict is
+    accepted when it reports decay.  When it does not, the norm certificate
+    of :func:`_certified_decay` gets the final word: eigenvalues of these
+    chains are so ill-conditioned that the dense eigensolve routinely
+    reports spurious growth for perfectly stable systems.
+    """
+    a = real_form(mat)
+    if a is None:
+        mat = np.asarray(mat, dtype=complex)
+        rate = float(np.max(np.linalg.eigvals(mat).imag))
+    else:
+        mat = a
+        rate = float(np.max(np.linalg.eigvals(a).real))
+    if rate < -tol:
+        return StabilityVerdict(True, "eigensolve")
+    return _certified_decay(mat)
 
 
 def is_dynamically_stable(h: DynamicalMatrix | ComplexMatrix, tol: float = STABILITY_TOL) -> bool:
     """Whether every mode of the dynamical matrix decays.
 
-    The eigensolve verdict is accepted when it reports decay.  When it does
-    not, the norm certificate of :func:`_certified_decay` gets the final
-    word: eigenvalues of these chains are so ill-conditioned that the dense
-    eigensolve routinely reports spurious growth for perfectly stable
-    systems.
+    The decision is a real eigensolve of :func:`real_form`, with the norm
+    certificate of :func:`_certified_decay` when the eigensolve does not
+    show decay; a raw matrix not in the generator layout keeps the complex
+    eigensolve.  A :class:`DynamicalMatrix` of a chain reads the chain's
+    verdict (``CouplingSet.stability``, decided once per chain); a raw
+    matrix, or a ``tol`` other than the default, is decided afresh.
     """
-    mat = h.h if isinstance(h, DynamicalMatrix) else h
-    if float(np.max(np.linalg.eigvals(mat).imag)) < -tol:
-        return True
-    return _certified_decay(mat)
+    if isinstance(h, DynamicalMatrix):
+        if h.source is not None and tol == STABILITY_TOL:
+            return h.source.stability.stable
+        h = h.h
+    return _decide(h, tol).stable
 
 
-def assert_stable(h: DynamicalMatrix | ComplexMatrix, context: str = "") -> None:
-    """Raise :class:`UnstableSystemError` unless the dynamics decays."""
-    if not is_dynamically_stable(h):
+def assert_stable(h: CouplingSet | DynamicalMatrix | ComplexMatrix, context: str = "") -> None:
+    """Raise :class:`UnstableSystemError` unless the dynamics decays.
+
+    A chain's own verdict is read directly; anything else goes through
+    :func:`is_dynamically_stable`.
+    """
+    stable = h.stability.stable if isinstance(h, CouplingSet) else is_dynamically_stable(h)
+    if not stable:
         where = f" ({context})" if context else ""
         raise UnstableSystemError(
             f"dynamical matrix has a non-decaying mode{where}; "

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import topocorr as tc
-from topocorr.greensvd import _symmetric_channels
+from topocorr.models import symmetric_channels
 
 
 def pure_loss_chain(n=4, gamma=2.0):
@@ -16,7 +16,7 @@ def pure_loss_chain(n=4, gamma=2.0):
 class TestChannelVerdict:
     def test_decided_once_per_generator(self, model_i_topo_50):
         h = tc.dynamical_matrix(model_i_topo_50)
-        assert h.channels == _symmetric_channels(model_i_topo_50) == (1.0, 1.0, 4.0)
+        assert h.channels == symmetric_channels(model_i_topo_50) == (1.0, 1.0, 4.0)
         assert "channels" in vars(h)  # cached on the generator
 
     @pytest.mark.parametrize("chain", [
@@ -64,7 +64,7 @@ class TestSvdAt:
 
     def test_channel_and_dense_paths_agree(self, model_i_topo_50):
         h = tc.dynamical_matrix(model_i_topo_50)
-        assert _symmetric_channels(model_i_topo_50) is not None
+        assert symmetric_channels(model_i_topo_50) is not None
         t_fast = tc.svd_at(h, 0.9)
         s_dense = np.sort(np.linalg.svd(0.9 * np.eye(100) - h.h, compute_uv=False))
         np.testing.assert_allclose(t_fast.s, s_dense, atol=1e-11)

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import topocorr as tc
+from topocorr import cli, models
 from topocorr.models import (
     particle_hole_conjugation,
     pbc_dynamical_matrix,
@@ -198,6 +203,123 @@ class TestDynamicalMatrix:
         # dense eigensolves report spurious growth for this stable chain
         c = tc.build_model_i(tc.ModelIParams(n_sites=100, gamma=4.6))
         assert tc.is_dynamically_stable(tc.dynamical_matrix(c))
+
+
+def oracle_stability(mat, tol=1e-10, tau=1.0, max_doublings=24):
+    """Reference gate: the complex eigensolve of ``H`` (``Im eig < -tol``),
+    then the norm certificate on ``exp(-i tau H)``, with no real form and no
+    caching.  Returns ``(stable, route, doublings)``."""
+    if float(np.max(np.linalg.eigvals(mat).imag)) < -tol:
+        return True, "eigensolve", 0
+    p = scipy.linalg.expm(-1j * tau * mat)
+    log_norm = 0.0
+    for doubling in range(max_doublings):
+        nrm = np.linalg.norm(p, 2)
+        log_norm += math.log(nrm) if nrm > 0 else -math.inf
+        if log_norm < 0:
+            return True, "certificate", doubling
+        p = (p / nrm) @ (p / nrm)
+        log_norm += log_norm
+    return False, "certificate", max_doublings
+
+
+def _model_i(n, gamma):
+    return lambda: tc.build_model_i(tc.ModelIParams(n_sites=n, gamma=gamma))
+
+
+def _model_ii_full(gamma):
+    return lambda: tc.build_model_ii_full(tc.ModelIIParams(n_cells=15, gamma=gamma))
+
+
+def _model_ii_effective(gamma):
+    return lambda: tc.adiabatic_eliminate(tc.ModelIIParams(n_cells=30, gamma=gamma))
+
+
+def _disordered(w, seed=7):
+    base = tc.build_model_i(tc.ModelIParams(n_sites=100, gamma=5.0))
+    return lambda: tc.apply_disorder(base, tc.gaussian_disorder(100, w, seed))
+
+
+# Includes the certificate-route chains (model_i n=20/2.5, n=100/4.0 and
+# n=100/4.6, where the eigensolve reports spurious growth) and the marginal
+# band of the effective chain near gamma = 2.6, where the eigensolve scatters
+# to about +1e-7 and the certificate cannot decide within its doublings.
+VERDICT_BATTERY = {
+    **{f"model_i-n{n}-g{g}": _model_i(n, g)
+       for n in (20, 50, 100) for g in (1.6, 2.0, 2.5, 3.0, 4.0, 4.6, 5.0)},
+    **{f"model_ii_full-g{g}": _model_ii_full(g) for g in (0.5, 1.0, 3.0)},
+    **{f"model_ii_effective-g{g!r}": _model_ii_effective(g)
+       for g in (1.0, 3.0, 2.6 - 2e-9, 2.6 + 2e-9, 2.6 + 1e-10)},
+    **{f"disordered-w{w}": _disordered(w) for w in (0.5, 1.5, 3.0, 6.0)},
+}
+
+
+class TestStabilityVerdict:
+    @pytest.mark.parametrize("name", sorted(VERDICT_BATTERY))
+    def test_matches_complex_gate(self, name):
+        c = VERDICT_BATTERY[name]()
+        stable, route, doublings = oracle_stability(tc.dynamical_matrix(c).h)
+        assert c.stability == tc.StabilityVerdict(stable, route, doublings)
+        assert tc.is_dynamically_stable(tc.dynamical_matrix(c)) is stable
+
+    @pytest.mark.parametrize("name", ["model_i-n20-g2.5", "model_i-n100-g4.0",
+                                      "model_i-n100-g4.6"])
+    def test_certificate_route_recorded(self, name):
+        v = VERDICT_BATTERY[name]().stability
+        assert v.stable and v.route == "certificate" and v.doublings > 0
+
+    @pytest.mark.parametrize("build", [
+        _model_i(12, 4.0), _model_ii_full(3.0), _model_ii_effective(2.6),
+        lambda: tc.apply_disorder(_model_i(12, 4.0)(), tc.gaussian_disorder(12, 1.0, 5)),
+    ], ids=["model_i", "model_ii_full", "model_ii_effective", "disordered"])
+    def test_real_form_is_the_quadrature_rotation(self, build):
+        h = tc.dynamical_matrix(build()).h
+        n = h.shape[0] // 2
+        eye = np.eye(n)
+        t = np.block([[eye, eye], [-1j * eye, 1j * eye]]) / np.sqrt(2)
+        a = tc.real_form(h)
+        assert a.dtype == np.float64
+        assert np.max(np.abs(a - (-1j * t @ h @ t.conj().T))) <= 1e-14
+
+    def test_matrix_off_the_layout_keeps_the_complex_route(self):
+        h = tc.dynamical_matrix(tc.build_model_i(tc.ModelIParams(n_sites=6, gamma=5.0))).h
+        off = h.copy()
+        off[7, 0] += 0.05
+        assert tc.real_form(off) is None
+        assert tc.real_form(-1j * np.eye(3)) is None
+        for mat in (off, off + 3j * np.eye(12), -1j * np.eye(3), np.eye(4)):
+            assert tc.is_dynamically_stable(mat) is oracle_stability(mat)[0]
+
+    def test_decided_once_per_chain(self, monkeypatch):
+        calls = []
+        decide = models._decide
+        monkeypatch.setattr(models, "_decide", lambda *a: calls.append(1) or decide(*a))
+        c = tc.build_model_i(tc.ModelIParams(n_sites=10, gamma=5.0))
+        for _ in range(3):
+            assert tc.is_dynamically_stable(tc.dynamical_matrix(c))
+            tc.assert_stable(c)
+        assert "stability" in vars(c) and len(calls) == 1
+        # a disorder draw is a new chain with a verdict of its own
+        tc.apply_disorder(c, tc.gaussian_disorder(10, 0.5, 1)).stability
+        assert len(calls) == 2
+        # a tolerance other than the default is decided afresh
+        assert tc.is_dynamically_stable(tc.dynamical_matrix(c), tol=1e-3)
+        assert len(calls) == 3
+
+    def test_correlations_command_runs_the_eigensolve_once(self, tmp_path, monkeypatch):
+        gates, decisions = [], []
+        gate, decide = models.is_dynamically_stable, models._decide
+        monkeypatch.setattr(models, "is_dynamically_stable",
+                            lambda *a, **k: gates.append(1) or gate(*a, **k))
+        monkeypatch.setattr(models, "_decide", lambda *a: decisions.append(1) or decide(*a))
+        cfgfile = tmp_path / "c.yaml"
+        cfgfile.write_text(yaml.safe_dump({
+            "params": {"n_sites": 8, "gamma": 5.0},
+            "omega_grid": {"min": -2.0, "max": 2.0, "count": 101},
+            "outputs": {"dir": str(tmp_path / "out")},
+        }))
+        assert cli.main(["correlations", "--config", str(cfgfile)]) == cli.EXIT_OK
+        assert len(gates) == 1 and len(decisions) == 1
 
 
 @st.composite
