@@ -25,7 +25,8 @@ Config schema (YAML, all keys optional unless noted)::
       gamma_prime: 30.0       # model_ii only
     omega_grid: {min: -4.0, max: 4.0, count: 601}
     winding: {n_k: 256, refine_tol: 1.0e-4}
-    correlations: {omega: 0.0, reference_site: 10, equal_time: true}
+    correlations: {omega: 0.0, equal_time: true}
+                              # reference_site is accepted and ignored
     disorder:
       w_grid: [0.0, 0.25, 0.5]   # or {min, max, count}
       n_r: 100
@@ -151,9 +152,13 @@ class RunConfig:
             if isinstance(default, dict) and not isinstance(self.data[key], dict):
                 raise ConfigError(f"{key} must be a mapping")
         og = self.data["omega_grid"]
-        for section in ("params", "omega_grid"):
+        for section in ("params", "omega_grid", "winding", "quadrature"):
             for key, val in self.data[section].items():
-                if isinstance(val, (int, float)) and not math.isfinite(val):
+                if val is None and key in _DEFAULTS[section] and _DEFAULTS[section][key] is None:
+                    continue
+                if isinstance(val, bool) or not isinstance(val, (int, float)):
+                    raise ConfigError(f"{section}.{key} must be a number, got {val!r}")
+                if not math.isfinite(val):
                     raise ConfigError(f"{section}.{key} must be finite, got {val}")
         if og["count"] < 2:
             raise ConfigError("omega_grid.count must be >= 2")
@@ -259,14 +264,11 @@ class OutputWriter:
         return path
 
 
-def matrix_rows(mat, with_abs=False):
+def matrix_rows(mat):
     for i in range(mat.shape[0]):
         for j in range(mat.shape[1]):
             v = mat[i, j]
-            row = [i, j, v.real, v.imag]
-            if with_abs:
-                row.append(abs(v))
-            yield row
+            yield [i, j, v.real, v.imag, abs(v)]
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +331,8 @@ def cmd_winding(cfg: RunConfig) -> int:
 
 def cmd_correlations(cfg: RunConfig) -> int:
     """Frequency-resolved and equal-time correlation matrices plus LRO curves."""
+    q = cfg.data["quadrature"]
+    quad = QuadratureSpec(rel_tol=q["rel_tol"], tail_tol=q["tail_tol"])
     c = cfg.coupling_set()
     h = dynamical_matrix(c)
     assert_stable(h, "cmd_correlations")
@@ -338,9 +342,9 @@ def cmd_correlations(cfg: RunConfig) -> int:
 
     fc = freq_correlations(svd_at(h, omega0), c)
     out.csv("freq_nbar.csv", ["row", "col", "re", "im", "abs"],
-            matrix_rows(np.nan_to_num(fc.n_bar), with_abs=True))
+            matrix_rows(np.nan_to_num(fc.n_bar)))
     out.csv("freq_mbar.csv", ["row", "col", "re", "im", "abs"],
-            matrix_rows(np.nan_to_num(fc.m_bar), with_abs=True))
+            matrix_rows(np.nan_to_num(fc.m_bar)))
 
     rows = []
     for w in cfg.omega_values():
@@ -352,12 +356,11 @@ def cmd_correlations(cfg: RunConfig) -> int:
     out.csv("lro_curve.csv", ["omega", "lambda_n", "lambda_m"], rows)
 
     if ccfg.get("equal_time", True):
-        q = cfg.data["quadrature"]
-        et = equal_time(c, QuadratureSpec(rel_tol=q["rel_tol"], tail_tol=q["tail_tol"]))
+        et = equal_time(c, quad)
         out.csv("equal_time_nbar.csv", ["row", "col", "re", "im", "abs"],
-                matrix_rows(np.nan_to_num(et.n_bar), with_abs=True))
+                matrix_rows(np.nan_to_num(et.n_bar)))
         out.csv("equal_time_mbar.csv", ["row", "col", "re", "im", "abs"],
-                matrix_rows(np.nan_to_num(et.m_bar), with_abs=True))
+                matrix_rows(np.nan_to_num(et.m_bar)))
         rep = et.quadrature_report
         print(f"equal-time quadrature: |omega| <= {rep.omega_max:.3g}, "
               f"{rep.panels} panels, estimated error {rep.est_error:.3e}")

@@ -14,6 +14,7 @@ and off-diagonals are correlation coefficients.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -26,17 +27,29 @@ from .greensvd import SvdTriple, amplification_matrix, factorize, svd_at
 
 ZERO_OCCUPATION_TOL = 1e-14
 RANK1_VALIDITY_RATIO = 0.1
+PANEL_NODES = 32
+MAX_PANELS = 4096
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Controls for the equal-time frequency integral."""
+    """Tolerances of the equal-time frequency integral.
+
+    ``rel_tol`` is the relative accuracy each panel is refined to, and
+    ``tail_tol`` the integrand level, relative to its peak, at which the
+    automatic cutoff ``W`` is placed.  Both must be finite and positive.
+    Each panel has ``PANEL_NODES`` Gauss-Legendre nodes, and refinement
+    stops at ``MAX_PANELS`` panels.
+    """
 
     rel_tol: float = 1e-6
     tail_tol: float = 1e-8
-    panel_nodes: int = 32
-    max_panels: int = 4096
-    omega_max: float | None = None  # override the automatic cutoff
+
+    def __post_init__(self):
+        for name in ("rel_tol", "tail_tol"):
+            val = getattr(self, name)
+            if not (math.isfinite(val) and val > 0):
+                raise ValueError(f"{name} must be finite and positive, got {val}")
 
 
 @dataclass(frozen=True)
@@ -205,8 +218,6 @@ def _tail_next_order(h, noise, omega_max):
 
 
 def _choose_omega_max(c, h, integrand, quad):
-    if quad.omega_max is not None:
-        return float(quad.omega_max)
     omega_max = 4.0 * max(np.max(np.abs(np.linalg.eigvals(h))), 1.0)
     probe = np.linspace(-omega_max, omega_max, 41)
     peak = max(float(np.trace(integrand(w)).real) for w in probe)
@@ -235,7 +246,7 @@ def equal_time(c: CouplingSet, quad: QuadratureSpec = QuadratureSpec()) -> Equal
     h = dynamical_matrix(c)
     integrand = _integrand_factory(c, h)
     omega_max = _choose_omega_max(c, h.h, integrand, quad)
-    nodes, weights = leggauss(quad.panel_nodes)
+    nodes, weights = leggauss(PANEL_NODES)
 
     def panel_integral(lo, hi):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -271,7 +282,7 @@ def equal_time(c: CouplingSet, quad: QuadratureSpec = QuadratureSpec()) -> Equal
             quad.rel_tol * np.linalg.norm(fine, "fro"),
         )
         n_panels = n_accepted + len(worklist) + 2
-        if diff <= budget or n_panels >= quad.max_panels:
+        if diff <= budget or n_panels >= MAX_PANELS:
             total = fine if total is None else total + fine
             n_accepted += 2
             est_error += diff
@@ -279,9 +290,9 @@ def equal_time(c: CouplingSet, quad: QuadratureSpec = QuadratureSpec()) -> Equal
         else:
             worklist.append((lo, mid, left))
             worklist.append((mid, hi, right))
-    if n_accepted >= quad.max_panels:
+    if n_accepted >= MAX_PANELS:
         warnings.warn(
-            f"quadrature hit the panel limit ({quad.max_panels}); "
+            f"quadrature hit the panel limit ({MAX_PANELS}); "
             f"estimated error {est_error:.3e}",
             stacklevel=2,
         )

@@ -8,12 +8,12 @@ moments with the left singular vectors.
 
 For the symmetric chain (pure imaginary uniform hopping matching the
 off-diagonal pairing, zero detuning, uniform loss, no gain) the shifted
-matrix splits into two bidiagonal channels.  The chain's
-``DynamicalMatrix`` records this once (``channels``), and ``factorize``
-then routes through a phase-rescaled real bidiagonal SVD, which resolves
-the exponentially small topological singular value to full relative
-accuracy; the generic dense SVD only bounds its error in units of
-``eps * s_max``.
+matrix splits into two bidiagonal channels.  The chain records this once
+(``CouplingSet.channels``), and ``factorize`` then routes through a
+phase-rescaled real bidiagonal SVD, which resolves the exponentially small
+topological singular value to full relative accuracy; the generic dense SVD
+only bounds its error in units of ``eps * s_max``.  A channel value too
+small for that refinement to represent raises :class:`ResonanceError`.
 """
 
 from __future__ import annotations
@@ -100,6 +100,8 @@ def _bidiagonal_svd(n, diag, offdiag, lower):
     matrix.  The QR-iteration driver (gesvd) computes bidiagonal singular
     values to high relative accuracy, which the divide-and-conquer default
     does not; the exponentially small topological value needs the former.
+    A smallest value below the reach of :func:`_smallest_triple_via_inverse`
+    is numerically zero and raises :class:`ResonanceError`.
     """
     br = np.diag(np.full(n, abs(diag)))
     if lower:
@@ -110,16 +112,17 @@ def _bidiagonal_svd(n, diag, offdiag, lower):
     s = s[::-1].copy()
     ur = ur[:, ::-1]
     vtr = vtr[::-1]
+    phase_fix = None
     if s[0] < _INVERSE_REFINE_REL * s[-1]:
         s0, u0, v0 = _smallest_triple_via_inverse(n, diag, offdiag, lower)
-        if s0 is not None:
-            s[0] = s0
-            # vectors replaced below after phase restoration
-            phase_fix = (u0, v0)
-        else:
-            phase_fix = None
-    else:
-        phase_fix = None
+        if s0 is None:
+            raise ResonanceError(
+                f"omega={diag.real} is numerically resonant: the smallest singular "
+                f"value of a {n}-site channel is below what its refinement resolves"
+            )
+        s[0] = s0
+        # vectors replaced below after phase restoration
+        phase_fix = (u0, v0)
     step = np.angle(offdiag) - np.angle(diag)
     theta = (np.arange(n) * step) if lower else (-np.arange(n) * step)
     phi = np.angle(diag) - theta
@@ -224,11 +227,12 @@ def factorize(h: DynamicalMatrix, omega: float):
     """``(u, s, v)`` with ``omega*I - H = u diag(s) v^dagger``, ``s`` ascending.
 
     Takes the two-channel route when the chain has symmetric channels
-    (``h.channels``) and the refined dense SVD otherwise.  The phase gauge
-    is left as the factorization returns it.
+    (``CouplingSet.channels``) and the refined dense SVD otherwise.  The
+    phase gauge is left as the factorization returns it.
     """
-    if h.channels is not None:
-        return _channel_svd(omega, *h.channels, h.n)
+    channels = h.source.channels
+    if channels is not None:
+        return _channel_svd(omega, *channels, h.n)
     try:
         return _dense_svd_ascending(omega * np.eye(2 * h.n) - h.h)
     except np.linalg.LinAlgError as exc:

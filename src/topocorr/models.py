@@ -15,12 +15,13 @@ wavevector, is assembled by the one function :func:`_generator`.  The
 Bloch batch on the momentum grid is kept with the chain and grown on demand
 (:func:`bloch_batch`).
 
-Stability is likewise a fact of the chain: ``CouplingSet.stability`` is
-decided once, on first use, and every steady-state path reads it.  The
-decision runs in real arithmetic on the generator's (x, p) quadrature form
-(:func:`real_form`), with a norm certificate when the eigensolve is
-inconclusive (:func:`is_dynamically_stable`).  Chains are treated as
-immutable: a cached fact is never recomputed.
+Every other fact of a chain lives on the chain too, decided once, on first
+use: its stability (``CouplingSet.stability``), decided in real arithmetic
+on the (x, p) quadrature form built from its blocks (:func:`real_form`),
+with a norm certificate when the eigensolve is inconclusive
+(:func:`is_dynamically_stable`); and its symmetric-channel structure
+(``CouplingSet.channels``, :func:`symmetric_channels`).  Chains are treated
+as immutable: a cached fact is never recomputed.
 
 Hopping phase convention: the sub-diagonal carries the phase factor,
 ``j_mat[i+1, i] = J * exp(1j * phi)``.  The Fourier sign in
@@ -123,7 +124,6 @@ class CouplingSet:
     gamma_mat: NDArray[np.float64]
     p_mat: NDArray[np.float64]
     unit_cell: int = 1
-    translationally_invariant: bool = False
     cell_blocks: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -144,6 +144,11 @@ class CouplingSet:
         return self.j_mat.shape[0]
 
     @property
+    def translationally_invariant(self) -> bool:
+        """Whether the chain is described by its cell blocks."""
+        return self.cell_blocks is not None
+
+    @property
     def noise_matrix(self) -> NDArray[np.float64]:
         """Block-diagonal bath moment matrix diag(P, Gamma)."""
         return scipy.linalg.block_diag(self.p_mat, self.gamma_mat)
@@ -157,7 +162,13 @@ class CouplingSet:
     def stability(self) -> StabilityVerdict:
         """Whether every mode of this chain decays, decided once; see
         :func:`is_dynamically_stable`."""
-        return _decide(_chain_generator(self), STABILITY_TOL)
+        return _decide(real_form(self))
+
+    @cached_property
+    def channels(self) -> tuple[float, float, float] | None:
+        """The symmetric-channel verdict of this chain, decided once; see
+        :func:`symmetric_channels`."""
+        return symmetric_channels(self)
 
 
 @dataclass(frozen=True)
@@ -170,12 +181,6 @@ class DynamicalMatrix:
     @property
     def n(self) -> int:
         return self.h.shape[0] // 2
-
-    @cached_property
-    def channels(self) -> tuple[float, float, float] | None:
-        """The symmetric-channel verdict of the source chain, decided once;
-        see :func:`symmetric_channels`."""
-        return symmetric_channels(self.source) if self.source is not None else None
 
 
 @dataclass(frozen=True)
@@ -223,7 +228,7 @@ def _chain(cell_blocks, unit_cell, n_cells) -> CouplingSet:
     j_mat, k_mat, g_mat, p_mat = _tile(cell_blocks, unit_cell, n_cells, periodic=False)
     return CouplingSet(
         j_mat=j_mat, k_mat=k_mat, gamma_mat=g_mat, p_mat=p_mat,
-        unit_cell=unit_cell, translationally_invariant=True, cell_blocks=cell_blocks,
+        unit_cell=unit_cell, cell_blocks=cell_blocks,
     )
 
 
@@ -296,10 +301,7 @@ def adiabatic_eliminate(params: ModelIIParams, edge_correction: bool = False) ->
         return _chain(blocks, 1, params.n_cells)
     j_mat, k_mat, g_mat, p_mat = _tile(blocks, 1, params.n_cells, periodic=False)
     p_mat[0, 0] = q
-    return CouplingSet(
-        j_mat=j_mat, k_mat=k_mat, gamma_mat=g_mat, p_mat=p_mat,
-        unit_cell=1, translationally_invariant=False,
-    )
+    return CouplingSet(j_mat=j_mat, k_mat=k_mat, gamma_mat=g_mat, p_mat=p_mat)
 
 
 def symmetric_channels(c: CouplingSet) -> tuple[float, float, float] | None:
@@ -352,9 +354,7 @@ def apply_disorder(base: CouplingSet, realization: DisorderRealization) -> Coupl
         )
     j_mat = base.j_mat.copy()
     j_mat[np.arange(base.n), np.arange(base.n)] += deltas
-    return replace(
-        base, j_mat=j_mat, translationally_invariant=False, cell_blocks=None
-    )
+    return replace(base, j_mat=j_mat, cell_blocks=None)
 
 
 def _rates(gamma, p):
@@ -379,39 +379,29 @@ def _generator(j, k, d, hole=None):
     return out
 
 
-def _chain_generator(c: CouplingSet) -> ComplexMatrix:
-    return _generator(c.j_mat, c.k_mat, _rates(c.gamma_mat, c.p_mat))
-
-
 def dynamical_matrix(c: CouplingSet) -> DynamicalMatrix:
     """Assemble the 2n x 2n non-Hermitian dynamical matrix.
 
     Blocks: ``[[J + i(P-Gamma)/2, K], [-K*, -J* + i(P-Gamma)/2]]``.
     """
-    return DynamicalMatrix(h=_chain_generator(c), source=c)
+    h = _generator(c.j_mat, c.k_mat, _rates(c.gamma_mat, c.p_mat))
+    return DynamicalMatrix(h=h, source=c)
 
 
-def real_form(mat) -> NDArray[np.float64] | None:
-    """The generator in the real (x, p) quadrature basis, ``A = -i T H T^dagger``.
+def real_form(c: CouplingSet) -> NDArray[np.float64]:
+    """The chain's generator in the real (x, p) quadrature basis,
+    ``A = -i T H T^dagger``.
 
     ``T = [[I, I], [-iI, iI]]/sqrt(2)`` is unitary, so ``A`` has the
-    eigenvalues of ``H`` times ``-i`` (``Re eig A = Im eig H``) and the
-    same operator norms of its propagator.  For ``H = [[A1, K], [-K*,
-    -A1*]]`` it is, block by block, ``[[Im A1 + Im K, Re A1 - Re K],
-    [-Re A1 - Re K, Im A1 - Im K]]``: real, and assembled with no matrix
-    product.  Returns None unless ``mat`` is exactly in that layout, which
-    every :func:`dynamical_matrix` is.
+    eigenvalues of ``H`` (:func:`dynamical_matrix`) times ``-i``
+    (``Re eig A = Im eig H``) and the same operator norms of its propagator.
+    With ``A1 = J + i(P - Gamma)/2`` it is, block by block, ``[[Im A1 +
+    Im K, Re A1 - Re K], [-Re A1 - Re K, Im A1 - Im K]]``: real, built from
+    the chain's blocks with no matrix product.
     """
-    mat = np.asarray(mat)
-    two_n = mat.shape[-1]
-    if mat.shape != (two_n, two_n) or two_n % 2:
-        return None
-    n = two_n // 2
-    a1, k = mat[:n, :n], mat[:n, n:]
-    if not (np.array_equal(mat[n:, :n], -k.conj())
-            and np.array_equal(mat[n:, n:], -a1.conj())):
-        return None
-    out = np.empty((two_n, two_n))
+    n = c.n
+    a1, k = c.j_mat + _rates(c.gamma_mat, c.p_mat), c.k_mat
+    out = np.empty((2 * n, 2 * n))
     out[:n, :n] = a1.imag + k.imag
     out[:n, n:] = a1.real - k.real
     out[n:, :n] = -a1.real - k.real
@@ -431,7 +421,7 @@ def phs_residual(h: DynamicalMatrix) -> float:
 
 
 def _require_cells(c: CouplingSet, what: str) -> None:
-    if not c.translationally_invariant or c.cell_blocks is None:
+    if not c.translationally_invariant:
         raise ValueError(f"{what} requires a translationally invariant chain")
 
 
@@ -536,73 +526,61 @@ class StabilityVerdict:
     doublings: int = 0
 
 
-def _certified_decay(mat, tau: float = 1.0, max_doublings: int = 24) -> StabilityVerdict:
+_MAX_DOUBLINGS = 24
+
+
+def _certified_decay(a) -> StabilityVerdict:
     """Certify spectral decay from operator norms of powers of the propagator.
 
-    The propagator is ``exp(tau A)`` for a real (x, p) form ``A`` (see
-    :func:`real_form`) and ``exp(-i tau H)`` for a complex generator ``H``;
-    both have the same norms.  ``||P^m|| < 1`` for any m bounds the spectral
-    radius of P below one and hence every mode's growth rate below zero,
-    regardless of how defective the generator is.  Powers are accumulated
-    by repeated squaring with norm scaling so transient amplification
-    cannot overflow.
+    The propagator is ``P = exp(A)`` for the real (x, p) form ``A`` (see
+    :func:`real_form`); it has the norms of ``exp(-iH)``.  ``||P^m|| < 1``
+    for any m bounds the spectral radius of P below one and hence every
+    mode's growth rate below zero, regardless of how defective the
+    generator is.  Powers are accumulated by repeated squaring with norm
+    scaling so transient amplification cannot overflow.
     """
-    p = scipy.linalg.expm(tau * mat if np.isrealobj(mat) else -1j * tau * mat)
+    p = scipy.linalg.expm(a)
     log_norm = 0.0
-    for doubling in range(max_doublings):
+    for doubling in range(_MAX_DOUBLINGS):
         nrm = np.linalg.norm(p, 2)
         log_norm += math.log(nrm) if nrm > 0 else -math.inf
         if log_norm < 0:
             return StabilityVerdict(True, "certificate", doubling)
         p = (p / nrm) @ (p / nrm)
         log_norm += log_norm
-    return StabilityVerdict(False, "certificate", max_doublings)
+    return StabilityVerdict(False, "certificate", _MAX_DOUBLINGS)
 
 
-def _decide(mat, tol: float) -> StabilityVerdict:
-    """The stability verdict of a generator ``mat``.
+def _decide(a) -> StabilityVerdict:
+    """The stability verdict of a chain's real form ``a``.
 
-    A generator in the layout of :func:`dynamical_matrix` is decided on its
-    real form (a real eigensolve, ``Re eig < -tol``); any other matrix keeps
-    the complex eigensolve (``Im eig < -tol``).  The eigensolve verdict is
-    accepted when it reports decay.  When it does not, the norm certificate
+    A real eigensolve reports decay when ``Re eig < -STABILITY_TOL``, and
+    its verdict is then accepted.  When it does not, the norm certificate
     of :func:`_certified_decay` gets the final word: eigenvalues of these
     chains are so ill-conditioned that the dense eigensolve routinely
     reports spurious growth for perfectly stable systems.
     """
-    a = real_form(mat)
-    if a is None:
-        mat = np.asarray(mat, dtype=complex)
-        rate = float(np.max(np.linalg.eigvals(mat).imag))
-    else:
-        mat = a
-        rate = float(np.max(np.linalg.eigvals(a).real))
-    if rate < -tol:
+    rate = float(np.max(np.linalg.eigvals(a).real))
+    if rate < -STABILITY_TOL:
         return StabilityVerdict(True, "eigensolve")
-    return _certified_decay(mat)
+    return _certified_decay(a)
 
 
-def is_dynamically_stable(h: DynamicalMatrix | ComplexMatrix, tol: float = STABILITY_TOL) -> bool:
+def is_dynamically_stable(h: DynamicalMatrix) -> bool:
     """Whether every mode of the dynamical matrix decays.
 
-    The decision is a real eigensolve of :func:`real_form`, with the norm
-    certificate of :func:`_certified_decay` when the eigensolve does not
-    show decay; a raw matrix not in the generator layout keeps the complex
-    eigensolve.  A :class:`DynamicalMatrix` of a chain reads the chain's
-    verdict (``CouplingSet.stability``, decided once per chain); a raw
-    matrix, or a ``tol`` other than the default, is decided afresh.
+    Reads the verdict of the source chain (``CouplingSet.stability``),
+    decided once per chain: a real eigensolve of :func:`real_form`, with the
+    norm certificate of :func:`_certified_decay` when the eigensolve does
+    not show decay.
     """
-    if isinstance(h, DynamicalMatrix):
-        if h.source is not None and tol == STABILITY_TOL:
-            return h.source.stability.stable
-        h = h.h
-    return _decide(h, tol).stable
+    return h.source.stability.stable
 
 
-def assert_stable(h: CouplingSet | DynamicalMatrix | ComplexMatrix, context: str = "") -> None:
+def assert_stable(h: CouplingSet | DynamicalMatrix, context: str = "") -> None:
     """Raise :class:`UnstableSystemError` unless the dynamics decays.
 
-    A chain's own verdict is read directly; anything else goes through
+    A chain's own verdict is read directly; a generator's goes through
     :func:`is_dynamically_stable`.
     """
     stable = h.stability.stable if isinstance(h, CouplingSet) else is_dynamically_stable(h)

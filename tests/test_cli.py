@@ -54,6 +54,15 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=f"{section}.{key} must be finite"):
             RunConfig.load(None, {section: {key: value}})
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("omega_grid", "min", "a"), ("omega_grid", "count", "x"), ("params", "gamma", "x"),
+        ("quadrature", "rel_tol", "x"), ("winding", "refine_tol", "x"),
+        ("params", "j", None), ("winding", "n_k", True),
+    ])
+    def test_non_numeric_values_rejected(self, section, key, value):
+        with pytest.raises(ConfigError, match=f"{section}.{key} must be a number"):
+            RunConfig.load(None, {section: {key: value}})
+
     @pytest.mark.parametrize("section", ["params", "omega_grid", "outputs"])
     def test_section_must_be_a_mapping(self, tmp_path, section):
         f = tmp_path / "cfg.yaml"
@@ -195,6 +204,18 @@ class TestValidateCommand:
         assert run(["validate", "--config", str(cfgfile)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
+
+
+@pytest.mark.parametrize("quadrature", [{"rel_tol": 0}, {"tail_tol": -1.0e-8}])
+def test_non_positive_quadrature_tolerance_is_a_config_error(tmp_path, capsys, quadrature):
+    cfgfile = tmp_path / "c.yaml"
+    cfgfile.write_text(yaml.safe_dump({
+        "params": {"n_sites": 4, "gamma": 5.0}, "omega_grid": {"count": 3},
+        "quadrature": quadrature, "outputs": {"dir": str(tmp_path / "out")},
+    }))
+    assert run(["correlations", "--config", str(cfgfile)]) == EXIT_CONFIG
+    assert "must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_error_exit_code(tmp_path):

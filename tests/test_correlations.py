@@ -153,6 +153,12 @@ class TestEqualTime:
         with pytest.raises(tc.UnstableSystemError):
             tc.equal_time(stable_chain(n=5, gamma=1.0))
 
+    @pytest.mark.parametrize("field", ["rel_tol", "tail_tol"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tolerances_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            QuadratureSpec(**{field: value})
+
     def test_anomalous_locked_to_normal(self):
         c = stable_chain(n=30, gamma=4.0)
         et = tc.equal_time(c)

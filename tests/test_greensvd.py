@@ -14,10 +14,10 @@ def pure_loss_chain(n=4, gamma=2.0):
 
 
 class TestChannelVerdict:
-    def test_decided_once_per_generator(self, model_i_topo_50):
-        h = tc.dynamical_matrix(model_i_topo_50)
-        assert h.channels == symmetric_channels(model_i_topo_50) == (1.0, 1.0, 4.0)
-        assert "channels" in vars(h)  # cached on the generator
+    def test_decided_once_per_chain(self, model_i_topo_50):
+        c = model_i_topo_50
+        assert c.channels == symmetric_channels(c) == (1.0, 1.0, 4.0)
+        assert "channels" in vars(c)  # cached on the chain
 
     @pytest.mark.parametrize("chain", [
         tc.build_model_i(tc.ModelIParams(n_sites=6, phi=1.2, gamma=4.0)),
@@ -29,7 +29,7 @@ class TestChannelVerdict:
                           tc.gaussian_disorder(6, 0.3, 1)),
     ], ids=["phase", "pairing", "detuning", "gain", "dimer", "disorder"])
     def test_other_chains_take_the_dense_route(self, chain):
-        assert tc.dynamical_matrix(chain).channels is None
+        assert chain.channels is None
 
 
 class TestFactorize:
@@ -73,6 +73,13 @@ class TestSvdAt:
         c = tc.build_model_i(tc.ModelIParams(n_sites=20, gamma=5.0))
         t = tc.svd_at(tc.dynamical_matrix(c), 0.0)
         assert t.s[0] == pytest.approx(2.775e-3, rel=1e-2)
+
+    def test_channel_value_below_the_refinement_raises(self):
+        # the exact s0 is 2.02e-289, beyond what the channel refinement can
+        # represent; gesvd alone would report its noise floor
+        c = tc.build_model_i(tc.ModelIParams(n_sites=320, gamma=2.5))
+        with pytest.raises(tc.ResonanceError, match="numerically resonant"):
+            tc.svd_at(tc.dynamical_matrix(c), 0.0)
 
     def test_phase_gauge_deterministic(self, model_i_topo_50):
         h = tc.dynamical_matrix(model_i_topo_50)
@@ -183,7 +190,6 @@ class TestAmplificationMatrix:
         doubled = tc.CouplingSet(
             j_mat=c.j_mat, k_mat=c.k_mat, gamma_mat=2 * c.gamma_mat,
             p_mat=2 * c.p_mat, unit_cell=c.unit_cell,
-            translationally_invariant=False,
         )
         np.testing.assert_allclose(
             tc.amplification_matrix(t, doubled),

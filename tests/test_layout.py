@@ -24,3 +24,21 @@ def test_no_module_imports_another_modules_private_helpers():
     assert len(files) >= 10
     found = [hit for path in files for hit in private_imports(path)]
     assert not found, "\n".join(found)
+
+
+def test_traced_names_are_module_level_functions():
+    # the benchmark's tracer wraps these module globals by name
+    spans = SRC.parents[1] / "perfbench" / "spans.py"
+    tree = ast.parse(spans.read_text(), filename=str(spans))
+    targets = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    )
+    missing = []
+    for module, names in targets.items():
+        path = SRC / f"{module.removeprefix('topocorr.')}.py"
+        defined = {node.name for node in ast.parse(path.read_text()).body
+                   if isinstance(node, ast.FunctionDef)}
+        missing += [f"{module}.{name}" for name in names if name not in defined]
+    assert targets and not missing, "\n".join(missing)
