@@ -57,6 +57,7 @@ import yaml
 
 from . import __version__
 from .correlations import (
+    QuadratureError,
     QuadratureSpec,
     equal_time,
     freq_correlations,
@@ -119,6 +120,13 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _check_number(name: str, val) -> None:
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {val!r}")
+    if not math.isfinite(val):
+        raise ConfigError(f"{name} must be finite, got {val}")
+
+
 @dataclass
 class RunConfig:
     """Fully resolved run configuration (defaults < file < CLI flags)."""
@@ -156,10 +164,26 @@ class RunConfig:
             for key, val in self.data[section].items():
                 if val is None and key in _DEFAULTS[section] and _DEFAULTS[section][key] is None:
                     continue
-                if isinstance(val, bool) or not isinstance(val, (int, float)):
-                    raise ConfigError(f"{section}.{key} must be a number, got {val!r}")
-                if not math.isfinite(val):
-                    raise ConfigError(f"{section}.{key} must be finite, got {val}")
+                _check_number(f"{section}.{key}", val)
+        _check_number("seed", self.data["seed"])
+        if self.data["threads"] is not None:
+            _check_number("threads", self.data["threads"])
+        _check_number("correlations.omega", self.data["correlations"]["omega"])
+        _check_number("validate.n_sites", self.data["validate"]["n_sites"])
+        dis = self.data["disorder"]
+        for key in ("n_r", "seed", "omega"):
+            _check_number(f"disorder.{key}", dis[key])
+        grid = dis["w_grid"]
+        if isinstance(grid, dict):
+            for key in ("min", "max", "count"):
+                if key not in grid:
+                    raise ConfigError("disorder.w_grid mapping needs min, max and count")
+                _check_number(f"disorder.w_grid.{key}", grid[key])
+        elif isinstance(grid, list):
+            for val in grid:
+                _check_number("disorder.w_grid", val)
+        elif grid is not None:
+            raise ConfigError(f"disorder.w_grid must be a list or a mapping, got {grid!r}")
         if og["count"] < 2:
             raise ConfigError("omega_grid.count must be >= 2")
         if not og["min"] < og["max"]:
@@ -495,7 +519,8 @@ def main(argv=None) -> int:
     except UnstableSystemError as exc:
         print(f"instability: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
-    except (GapClosingError, ResonanceError, np.linalg.LinAlgError) as exc:
+    except (GapClosingError, ResonanceError, QuadratureError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

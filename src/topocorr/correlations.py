@@ -5,7 +5,13 @@ from the singular basis: ``N(w) = Vp* Sigma Vp^T`` and ``M(w) = Vp* Sigma
 Vh^T`` with ``Sigma`` the amplification matrix and ``Vp``/``Vh`` the
 particle/hole blocks of the right singular vectors.  Equal-time matrices
 integrate the frequency-resolved ones over all frequencies with an adaptive
-composite Gauss-Legendre rule plus an analytic large-frequency tail.
+composite Gauss-Legendre rule plus an analytic large-frequency tail.  The
+integrand ``G* D G^T`` needs only the resolvent ``G = (w*I - H)^{-1}``:
+chains without symmetric channels evaluate it with one batched LU solve per
+panel, while symmetric chains keep their bidiagonal channel SVD, which
+resolves the exponentially small topological singular value to full
+relative accuracy.  A panel that cannot reach the tolerance within
+``MAX_PANELS`` panels raises :class:`QuadratureError`.
 
 Normalization divides every entry by the geometric mean of the
 corresponding diagonal occupations, so normalized diagonals are exactly one
@@ -23,12 +29,16 @@ from numpy.polynomial.legendre import leggauss
 from numpy.typing import NDArray
 
 from .models import CouplingSet, DynamicalMatrix, assert_stable, dynamical_matrix
-from .greensvd import SvdTriple, amplification_matrix, factorize, svd_at
+from .greensvd import SvdTriple, amplification_matrix, factorize, resolvent
 
 ZERO_OCCUPATION_TOL = 1e-14
 RANK1_VALIDITY_RATIO = 0.1
 PANEL_NODES = 32
 MAX_PANELS = 4096
+
+
+class QuadratureError(RuntimeError):
+    """The equal-time quadrature cannot reach its tolerance within ``MAX_PANELS``."""
 
 
 @dataclass(frozen=True)
@@ -38,8 +48,8 @@ class QuadratureSpec:
     ``rel_tol`` is the relative accuracy each panel is refined to, and
     ``tail_tol`` the integrand level, relative to its peak, at which the
     automatic cutoff ``W`` is placed.  Both must be finite and positive.
-    Each panel has ``PANEL_NODES`` Gauss-Legendre nodes, and refinement
-    stops at ``MAX_PANELS`` panels.
+    Each panel has ``PANEL_NODES`` Gauss-Legendre nodes; a refinement that
+    would need more than ``MAX_PANELS`` panels raises :class:`QuadratureError`.
     """
 
     rel_tol: float = 1e-6
@@ -178,15 +188,23 @@ def rank1_approximation(t: SvdTriple, c: CouplingSet) -> FreqCorrelations:
 
 
 def _integrand_factory(c: CouplingSet, h: DynamicalMatrix):
-    """Return w -> G*(w) diag(P, Gamma) G(w)^T evaluated through the SVD.
+    """Return the stacked integrand ``G*(w) D G(w)^T`` at an array of nodes.
 
-    The SVD gauge cancels inside the product, so the integrand takes
-    :func:`factorize` directly and skips the phase fixing of :func:`svd_at`.
+    ``D = diag(P, Gamma)`` is the noise matrix.  Chains without symmetric
+    channels take the LU resolvent (:func:`resolvent`), one batched solve
+    for all nodes: the integrand needs ``G`` alone, and the LU inverse is
+    both cheaper than a full SVD per node and closer to the exact resolvent
+    where ``w*I - H`` is ill-conditioned.  ``P`` enters as a full matrix,
+    since the effective model's gain matrix is not diagonal.  Symmetric
+    chains keep :func:`factorize` per node, whose bidiagonal channels
+    resolve the topological singular value to full relative accuracy; the
+    SVD gauge cancels inside the product, so the phase fixing of
+    :func:`svd_at` is skipped.
     """
     n = c.n
     p_zero = not np.any(c.p_mat)
 
-    def integrand(omega):
+    def channel_node(omega):
         u, s, v = factorize(h, omega)
         core = u[n:].T @ c.gamma_mat @ u[n:].conj()
         if not p_zero:
@@ -194,7 +212,19 @@ def _integrand_factory(c: CouplingSet, h: DynamicalMatrix):
         sigma = core / np.outer(s, s)
         return v.conj() @ sigma @ v.T
 
-    return integrand
+    def channel_integrand(omegas):
+        return np.stack([channel_node(w) for w in omegas])
+
+    def dense_integrand(omegas):
+        g = resolvent(h, omegas)
+        g_hole = g[..., n:]
+        out = g_hole.conj() @ c.gamma_mat @ g_hole.swapaxes(-1, -2)
+        if not p_zero:
+            g_part = g[..., :n]
+            out = out + g_part.conj() @ c.p_mat @ g_part.swapaxes(-1, -2)
+        return out
+
+    return dense_integrand if c.channels is None else channel_integrand
 
 
 def _tail_correction(h, noise, omega_max):
@@ -220,8 +250,8 @@ def _tail_next_order(h, noise, omega_max):
 def _choose_omega_max(c, h, integrand, quad):
     omega_max = 4.0 * max(np.max(np.abs(np.linalg.eigvals(h))), 1.0)
     probe = np.linspace(-omega_max, omega_max, 41)
-    peak = max(float(np.trace(integrand(w)).real) for w in probe)
-    while float(np.trace(integrand(omega_max)).real) > quad.tail_tol * peak:
+    peak = max(float(np.trace(val).real) for val in integrand(probe))
+    while float(np.trace(integrand(np.array([omega_max]))[0]).real) > quad.tail_tol * peak:
         omega_max *= 2.0
     # the analytic tail handles what remains; make sure its own truncation
     # error is small relative to the leading tail term
@@ -250,9 +280,10 @@ def equal_time(c: CouplingSet, quad: QuadratureSpec = QuadratureSpec()) -> Equal
 
     def panel_integral(lo, hi):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        # accumulated node by node, in node order, so the sum does not depend
+        # on how the integrand batches its nodes
         acc = None
-        for x, w in zip(nodes, weights):
-            val = integrand(mid + half * x)
+        for w, val in zip(weights, integrand(mid + half * nodes)):
             acc = w * val if acc is None else acc + w * val
         return half * acc / (2 * np.pi)
 
@@ -281,21 +312,20 @@ def equal_time(c: CouplingSet, quad: QuadratureSpec = QuadratureSpec()) -> Equal
             quad.rel_tol * scale * (hi - lo) / (2 * omega_max),
             quad.rel_tol * np.linalg.norm(fine, "fro"),
         )
-        n_panels = n_accepted + len(worklist) + 2
-        if diff <= budget or n_panels >= MAX_PANELS:
+        if diff <= budget:
             total = fine if total is None else total + fine
             n_accepted += 2
             est_error += diff
             scale = max(scale, float(np.linalg.norm(total, "fro")))
+        elif n_accepted + len(worklist) + 2 >= MAX_PANELS:
+            raise QuadratureError(
+                f"equal-time quadrature did not reach rel_tol={quad.rel_tol:g} within "
+                f"{MAX_PANELS} panels: the panel of width {hi - lo:.3g} at omega={mid:.6g} "
+                f"still changes by {diff:.3e} against a budget of {budget:.3e}"
+            )
         else:
             worklist.append((lo, mid, left))
             worklist.append((mid, hi, right))
-    if n_accepted >= MAX_PANELS:
-        warnings.warn(
-            f"quadrature hit the panel limit ({MAX_PANELS}); "
-            f"estimated error {est_error:.3e}",
-            stacklevel=2,
-        )
     noise = c.noise_matrix
     total = total + _tail_correction(h.h, noise, omega_max)
     est_error += _tail_next_order(h.h, noise, omega_max)

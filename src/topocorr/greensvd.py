@@ -4,7 +4,8 @@ All frequency-domain quantities descend from the factorization
 ``w*I - H = U S V^dagger`` with singular values stored ascending, so
 ``s[0]`` is always the candidate topological zero.  The Green's function is
 ``V diag(1/s) U^dagger`` and the amplification matrix contracts the bath
-moments with the left singular vectors.
+moments with the left singular vectors.  Paths that need ``G`` alone can
+take :func:`resolvent`, a batched LU solve over many frequencies.
 
 For the symmetric chain (pure imaginary uniform hopping matching the
 off-diagonal pairing, zero detuning, uniform loss, no gain) the shifted
@@ -237,6 +238,30 @@ def factorize(h: DynamicalMatrix, omega: float):
         return _dense_svd_ascending(omega * np.eye(2 * h.n) - h.h)
     except np.linalg.LinAlgError as exc:
         raise ResonanceError(f"SVD failed to converge at omega={omega}") from exc
+
+
+def resolvent(h: DynamicalMatrix, omegas) -> NDArray[np.complex128]:
+    """Stacked resolvents ``(w*I - H)^{-1}`` for a 1-D array of frequencies.
+
+    One batched LU solve against the identity, for paths that need only
+    ``G`` and not the singular values.  Where ``w*I - H`` is ill-conditioned
+    it stays closer to the exact inverse than ``V diag(1/s) U^dagger``
+    assembled from a dense SVD (checked against 40-digit values in the
+    tests).  An exactly singular shifted matrix raises
+    :class:`ResonanceError`.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    eye = np.eye(2 * h.n)
+    shifted = omegas[:, None, None] * eye - h.h
+    try:
+        # a full stack of right-hand sides: numpy < 2 reads a 2-D ``b`` as a
+        # stack of vectors
+        return np.linalg.solve(shifted, np.broadcast_to(eye, shifted.shape))
+    except np.linalg.LinAlgError as exc:
+        raise ResonanceError(
+            f"omega in [{omegas.min()}, {omegas.max()}] is resonant: "
+            f"w*I - H is singular"
+        ) from exc
 
 
 def svd_at(h: DynamicalMatrix, omega: float) -> SvdTriple:

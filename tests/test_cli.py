@@ -218,6 +218,44 @@ def test_non_positive_quadrature_tolerance_is_a_config_error(tmp_path, capsys, q
     assert not (tmp_path / "out").exists()
 
 
+def test_unreachable_quadrature_tolerance_exits_numerical(tmp_path, capsys):
+    cfgfile = tmp_path / "c.yaml"
+    cfgfile.write_text(yaml.safe_dump({
+        "params": {"n_sites": 4, "gamma": 5.0, "delta": 0.3}, "omega_grid": {"count": 3},
+        "quadrature": {"rel_tol": 1e-300}, "outputs": {"dir": str(tmp_path / "out")},
+    }))
+    assert run(["correlations", "--config", str(cfgfile)]) == EXIT_NUMERICAL
+    assert "within 4096 panels" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "equal_time_nbar.csv").exists()
+
+
+@pytest.mark.parametrize("command,config,name", [
+    ("disorder", {"disorder": {"w_grid": {"min": "a", "max": 1.0, "count": 3}}},
+     "disorder.w_grid.min"),
+    ("disorder", {"disorder": {"w_grid": {"min": 0.0, "max": 1.0}}}, "disorder.w_grid"),
+    ("disorder", {"disorder": {"w_grid": [0.0, "x"]}}, "disorder.w_grid"),
+    ("disorder", {"disorder": {"w_grid": 0.5}}, "disorder.w_grid"),
+    ("disorder", {"disorder": {"n_r": "many"}}, "disorder.n_r"),
+    ("disorder", {"disorder": {"seed": [7]}}, "disorder.seed"),
+    ("disorder", {"disorder": {"omega": None}}, "disorder.omega"),
+    ("validate", {"validate": {"n_sites": [3]}}, "validate.n_sites"),
+    ("validate", {"seed": [1]}, "seed"),
+    ("correlations", {"correlations": {"omega": [1]}}, "correlations.omega"),
+    ("disorder", {"threads": "two"}, "threads"),
+    ("disorder", {"threads": float("inf")}, "threads"),
+])
+def test_non_numeric_config_values_are_config_errors(tmp_path, capsys, command, config,
+                                                     name):
+    cfgfile = tmp_path / "c.yaml"
+    cfgfile.write_text(yaml.safe_dump({
+        "params": {"n_sites": 4, "gamma": 5.0}, "omega_grid": {"count": 3},
+        "outputs": {"dir": str(tmp_path / "out")}, **config,
+    }))
+    assert run([command, "--config", str(cfgfile)]) == EXIT_CONFIG
+    assert f"configuration error: {name}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("model: not_a_model\n")

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import topocorr as tc
-from topocorr.correlations import QuadratureSpec, normalized_forms
+from topocorr.correlations import QuadratureSpec, _integrand_factory, normalized_forms
 from topocorr.greensvd import SvdTriple
 from topocorr.lindblad import commutation_residual, steady_state_moments
 
@@ -164,6 +164,61 @@ class TestEqualTime:
         et = tc.equal_time(c)
         sl = slice(5, 25)
         assert np.max(np.abs(et.m_bar[sl, sl] - 1j * et.n_bar[sl, sl])) < 0.05
+
+
+# 40-digit mpmath values of the integrand G*(w) D G(w)^T of
+# model_ii_effective (30 cells, gamma=3) at w = 0.21, where cond(w*I - H) is
+# about 7e9, from the exact inverse of the same floating-point H.
+INTEGRAND_W = 0.21
+INTEGRAND_TRACE = 2.8544047930543085004e19
+INTEGRAND_FRO = 2.8544047929158865372e19
+INTEGRAND_ENTRIES = {
+    (0, 0): 2.0239931319398472309,
+    (0, 30): 0.034288153525441205921 + 0.78816496369206965798j,
+    (29, 29): 1.3392922316941981732e19,
+    (0, 29): -1258654254.8473669339 - 3511589154.6943240653j,
+}
+
+
+class TestEqualTimeIntegrand:
+    def test_dense_route_matches_exact_resolvent(self):
+        # The LU resolvent reaches 5.5e-11 normwise here; the same integrand
+        # assembled from a dense SVD (V diag(1/s) U^dagger) misses these
+        # values by 5.8e-7 normwise and by 1.9e-6 on entry (0, 30).
+        c = tc.adiabatic_eliminate(tc.ModelIIParams(n_cells=30, gamma=3.0))
+        assert c.channels is None
+        val = _integrand_factory(c, tc.dynamical_matrix(c))(np.array([INTEGRAND_W]))[0]
+        assert abs(np.trace(val) - INTEGRAND_TRACE) < 1e-9 * INTEGRAND_TRACE
+        assert abs(np.linalg.norm(val) - INTEGRAND_FRO) < 1e-9 * INTEGRAND_FRO
+        for ij, ref in INTEGRAND_ENTRIES.items():
+            assert abs(val[ij] - ref) < 1e-9 * abs(ref), ij
+
+    @pytest.mark.parametrize("chain", [
+        stable_chain(n=6, gamma=4.0),
+        tc.build_model_ii_full(tc.ModelIIParams(n_cells=3, gamma=3.0)),
+    ], ids=["channels", "dense"])
+    def test_batch_matches_single_nodes(self, chain):
+        integrand = _integrand_factory(chain, tc.dynamical_matrix(chain))
+        omegas = np.array([-1.3, 0.0, 0.4])
+        batch = integrand(omegas)
+        for w, val in zip(omegas, batch):
+            single = integrand(np.array([w]))[0]
+            assert np.linalg.norm(val - single) <= 1e-13 * np.linalg.norm(single)
+
+    @pytest.mark.parametrize("make,panels", [
+        (lambda: tc.build_model_ii_full(tc.ModelIIParams(n_cells=15, gamma=3.0)), 40),
+        (lambda: tc.adiabatic_eliminate(tc.ModelIIParams(n_cells=30, gamma=3.0)), 32),
+    ], ids=["full", "effective"])
+    def test_panel_decisions_unchanged(self, make, panels):
+        assert tc.equal_time(make()).quadrature_report.panels == panels
+
+    def test_panel_limit_is_an_error(self):
+        # a dense chain (the detuning breaks the channel symmetry) and a
+        # tolerance no panel can meet
+        c = stable_chain(n=4, gamma=5.0, delta=0.3)
+        assert c.channels is None
+        with pytest.raises(tc.QuadratureError, match="within 4096 panels"):
+            tc.equal_time(c, QuadratureSpec(rel_tol=1e-300))
 
 
 class TestLroParameter:

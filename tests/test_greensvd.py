@@ -171,6 +171,34 @@ class TestGreenFunction:
         assert res < 1e-9 * np.linalg.norm(target, "fro")
 
 
+class TestResolvent:
+    OMEGAS = np.array([-2.0, -0.3, 0.0, 0.21, 1.5])
+
+    @pytest.mark.parametrize("chain", [
+        tc.build_model_ii_full(tc.ModelIIParams(n_cells=5, gamma=3.0)),
+        tc.build_model_i(tc.ModelIParams(n_sites=12, gamma=5.0)),
+    ], ids=["dense", "channels"])
+    def test_residual(self, chain):
+        h = tc.dynamical_matrix(chain)
+        g = tc.resolvent(h, self.OMEGAS)
+        assert g.shape == (self.OMEGAS.size, 2 * h.n, 2 * h.n)
+        eye = np.eye(2 * h.n)
+        for w, gw in zip(self.OMEGAS, g):
+            assert np.linalg.norm((w * eye - h.h) @ gw - eye) < 1e-12
+
+    def test_matches_svd_green_function(self):
+        h = tc.dynamical_matrix(tc.build_model_i(tc.ModelIParams(n_sites=12, gamma=5.0)))
+        for w, gw in zip(self.OMEGAS, tc.resolvent(h, self.OMEGAS)):
+            ref = tc.green_function(tc.svd_at(h, w)).g_full
+            assert np.linalg.norm(gw - ref) < 1e-10 * np.linalg.norm(ref)
+
+    def test_singular_shift_is_a_resonance(self):
+        # no hopping, pumping or loss: H = 0, so w = 0 is exactly singular
+        h = tc.dynamical_matrix(pure_loss_chain(n=3, gamma=0.0))
+        with pytest.raises(tc.ResonanceError):
+            tc.resolvent(h, np.array([1.0, 0.0]))
+
+
 class TestAmplificationMatrix:
     def test_hermitian_psd_no_gain(self, model_i_topo_50):
         t = tc.svd_at(tc.dynamical_matrix(model_i_topo_50), 0.3)
