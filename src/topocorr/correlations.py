@@ -6,11 +6,11 @@ Vh^T`` with ``Sigma`` the amplification matrix and ``Vp``/``Vh`` the
 particle/hole blocks of the right singular vectors.  Equal-time matrices
 integrate the frequency-resolved ones over all frequencies with an adaptive
 composite Gauss-Legendre rule plus an analytic large-frequency tail.  The
-integrand ``G* D G^T`` needs only the resolvent ``G = (w*I - H)^{-1}``:
-chains without symmetric channels evaluate it with one batched LU solve per
-panel, while symmetric chains keep their bidiagonal channel SVD, which
-resolves the exponentially small topological singular value to full
-relative accuracy.  A panel that cannot reach the tolerance within
+integrand ``G* D G^T`` needs only the resolvent ``G = (w*I - H)^{-1}``, and
+every chain evaluates it with one :func:`resolvent` call per panel: a
+batched LU solve, or on symmetric chains the batched bidiagonal channel
+SVDs, which resolve the exponentially small topological singular value to
+full relative accuracy.  A panel that cannot reach the tolerance within
 ``MAX_PANELS`` panels raises :class:`QuadratureError`.
 
 Normalization divides every entry by the geometric mean of the
@@ -29,7 +29,7 @@ from numpy.polynomial.legendre import leggauss
 from numpy.typing import NDArray
 
 from .models import CouplingSet, DynamicalMatrix, assert_stable, dynamical_matrix
-from .greensvd import SvdTriple, amplification_matrix, factorize, resolvent
+from .greensvd import SvdTriple, amplification_matrix, resolvent
 
 ZERO_OCCUPATION_TOL = 1e-14
 RANK1_VALIDITY_RATIO = 0.1
@@ -190,32 +190,16 @@ def rank1_approximation(t: SvdTriple, c: CouplingSet) -> FreqCorrelations:
 def _integrand_factory(c: CouplingSet, h: DynamicalMatrix):
     """Return the stacked integrand ``G*(w) D G(w)^T`` at an array of nodes.
 
-    ``D = diag(P, Gamma)`` is the noise matrix.  Chains without symmetric
-    channels take the LU resolvent (:func:`resolvent`), one batched solve
-    for all nodes: the integrand needs ``G`` alone, and the LU inverse is
-    both cheaper than a full SVD per node and closer to the exact resolvent
-    where ``w*I - H`` is ill-conditioned.  ``P`` enters as a full matrix,
-    since the effective model's gain matrix is not diagonal.  Symmetric
-    chains keep :func:`factorize` per node, whose bidiagonal channels
-    resolve the topological singular value to full relative accuracy; the
-    SVD gauge cancels inside the product, so the phase fixing of
-    :func:`svd_at` is skipped.
+    ``D = diag(P, Gamma)`` is the noise matrix, and ``G`` comes from one
+    :func:`resolvent` call for all nodes, which takes the chain's route:
+    the bidiagonal channel SVDs on symmetric chains, the LU solve elsewhere.
+    ``P`` enters as a full matrix, since the effective model's gain matrix
+    is not diagonal.
     """
     n = c.n
     p_zero = not np.any(c.p_mat)
 
-    def channel_node(omega):
-        u, s, v = factorize(h, omega)
-        core = u[n:].T @ c.gamma_mat @ u[n:].conj()
-        if not p_zero:
-            core = core + u[:n].T @ c.p_mat @ u[:n].conj()
-        sigma = core / np.outer(s, s)
-        return v.conj() @ sigma @ v.T
-
-    def channel_integrand(omegas):
-        return np.stack([channel_node(w) for w in omegas])
-
-    def dense_integrand(omegas):
+    def integrand(omegas):
         g = resolvent(h, omegas)
         g_hole = g[..., n:]
         out = g_hole.conj() @ c.gamma_mat @ g_hole.swapaxes(-1, -2)
@@ -224,7 +208,7 @@ def _integrand_factory(c: CouplingSet, h: DynamicalMatrix):
             out = out + g_part.conj() @ c.p_mat @ g_part.swapaxes(-1, -2)
         return out
 
-    return dense_integrand if c.channels is None else channel_integrand
+    return integrand
 
 
 def _tail_correction(h, noise, omega_max):

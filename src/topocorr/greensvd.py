@@ -5,20 +5,26 @@ All frequency-domain quantities descend from the factorization
 ``s[0]`` is always the candidate topological zero.  The Green's function is
 ``V diag(1/s) U^dagger`` and the amplification matrix contracts the bath
 moments with the left singular vectors.  Paths that need ``G`` alone can
-take :func:`resolvent`, a batched LU solve over many frequencies.
+take :func:`resolvent`, which returns it for many frequencies at once.
 
 For the symmetric chain (pure imaginary uniform hopping matching the
 off-diagonal pairing, zero detuning, uniform loss, no gain) the shifted
-matrix splits into two bidiagonal channels.  The chain records this once
-(``CouplingSet.channels``), and ``factorize`` then routes through a
-phase-rescaled real bidiagonal SVD, which resolves the exponentially small
-topological singular value to full relative accuracy; the generic dense SVD
-only bounds its error in units of ``eps * s_max``.  A channel value too
-small for that refinement to represent raises :class:`ResonanceError`.
+matrix splits into two bidiagonal channels,
+``w*I - H = T diag(B+, B-) T^dagger`` with
+``T = [[I, I], [iI, -iI]]/sqrt(2)``.  The chain records this once
+(``CouplingSet.channels``), and both ``factorize`` and ``resolvent`` then
+route through phase-rescaled real bidiagonal SVDs of the channels, batched
+over frequencies, which resolve the exponentially small topological
+singular value to full relative accuracy; the generic dense SVD only bounds
+its error in units of ``eps * s_max``.  A channel value too small for that
+refinement to represent raises :class:`ResonanceError`.  Other chains take
+the refined dense SVD in ``factorize`` and a batched LU solve in
+``resolvent``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,44 +100,72 @@ class GreenFunction:
         return self.g_full[self.n:, self.n:]
 
 
-def _bidiagonal_svd(n, diag, offdiag, lower):
-    """SVD of a bidiagonal Toeplitz matrix via its real phase-equivalent form.
+@functools.cache
+def _gesvd_lwork(n):
+    """Optimal ``dgesvd`` workspace for an ``n x n`` matrix, queried once per n."""
+    work, _ = scipy.linalg.lapack.dgesvd_lwork(n, n)
+    return int(work)
+
+
+def _bidiagonal_svd(n, diags, offdiag, lower):
+    """SVDs of bidiagonal Toeplitz matrices, one per entry of ``diags``, via
+    their real phase-equivalent forms.
 
     Factoring out site-dependent phases leaves a nonnegative real bidiagonal
     matrix.  The QR-iteration driver (gesvd) computes bidiagonal singular
     values to high relative accuracy, which the divide-and-conquer default
     does not; the exponentially small topological value needs the former.
     A smallest value below the reach of :func:`_smallest_triple_via_inverse`
-    is numerically zero and raises :class:`ResonanceError`.
+    is numerically zero and raises :class:`ResonanceError`.  Returns the
+    stacked ``(u, s, v)``, values ascending along the last axis of ``s``.
     """
-    br = np.diag(np.full(n, abs(diag)))
+    diag_arr = np.asarray(diags, dtype=complex)
+    # np.hypot is the modulus Python's abs(complex) computes, bit for bit
+    mods = np.hypot(diag_arr.real, diag_arr.imag)
+    if not np.all(np.isfinite(mods)):
+        raise ValueError("frequencies must be finite")
+    k = mods.size
+    diag_idx = np.arange(n)
+    br = np.zeros((k, n, n))
+    br[:, diag_idx, diag_idx] = mods[:, None]
     if lower:
-        br[np.arange(1, n), np.arange(n - 1)] = abs(offdiag)
+        br[:, diag_idx[1:], diag_idx[:-1]] = abs(offdiag)
     else:
-        br[np.arange(n - 1), np.arange(1, n)] = abs(offdiag)
-    ur, s, vtr = scipy.linalg.svd(br, lapack_driver="gesvd")
-    s = s[::-1].copy()
-    ur = ur[:, ::-1]
-    vtr = vtr[::-1]
-    phase_fix = None
-    if s[0] < _INVERSE_REFINE_REL * s[-1]:
+        br[:, diag_idx[:-1], diag_idx[1:]] = abs(offdiag)
+    lwork = _gesvd_lwork(n)
+    ur = np.empty((k, n, n))
+    s = np.empty((k, n))
+    vtr = np.empty((k, n, n))
+    for i in range(k):
+        ur[i], s[i], vtr[i], info = scipy.linalg.lapack.dgesvd(br[i], lwork=lwork)
+        if info > 0:
+            raise np.linalg.LinAlgError("SVD did not converge")
+    s = s[:, ::-1].copy()
+    ur = ur[:, :, ::-1]
+    vtr = vtr[:, ::-1]
+    refined = []
+    for i in np.nonzero(s[:, 0] < _INVERSE_REFINE_REL * s[:, -1])[0]:
+        # the caller's own scalar: Python and NumPy complex division round
+        # differently, and the inverse raises the ratio to the n-th power
+        diag = diags[i]
         s0, u0, v0 = _smallest_triple_via_inverse(n, diag, offdiag, lower)
         if s0 is None:
             raise ResonanceError(
                 f"omega={diag.real} is numerically resonant: the smallest singular "
                 f"value of a {n}-site channel is below what its refinement resolves"
             )
-        s[0] = s0
-        # vectors replaced below after phase restoration
-        phase_fix = (u0, v0)
-    step = np.angle(offdiag) - np.angle(diag)
-    theta = (np.arange(n) * step) if lower else (-np.arange(n) * step)
-    phi = np.angle(diag) - theta
-    u = np.exp(1j * theta)[:, None] * ur
-    v = vtr.conj().T * np.exp(-1j * phi)[:, None]
-    if phase_fix is not None:
-        u[:, 0] = phase_fix[0]
-        v[:, 0] = phase_fix[1]
+        s[i, 0] = s0
+        refined.append((i, u0, v0))
+    angles = np.angle(diag_arr)[:, None]
+    step = np.angle(offdiag) - angles
+    theta = (diag_idx * step) if lower else (-diag_idx * step)
+    phi = angles - theta
+    u = np.exp(1j * theta)[:, :, None] * ur
+    v = vtr.swapaxes(-1, -2) * np.exp(-1j * phi)[:, :, None]
+    # the refined vectors come from the complex inverse, phases included
+    for i, u0, v0 in refined:
+        u[i, :, 0] = u0
+        v[i, :, 0] = v0
     return u, s, v
 
 
@@ -158,12 +192,24 @@ def _smallest_triple_via_inverse(n, diag, offdiag, lower):
     return 1.0 / s_inv[0], vh_inv[0].conj(), u_inv[:, 0]
 
 
-def _channel_svd(omega, j, g_s, gamma, n):
-    """Assemble the full 2n SVD from the two bidiagonal symmetry channels."""
+def _channel_svd(omegas, j, g_s, gamma, n):
+    """Phase-restored SVDs of the two bidiagonal symmetry channels, stacked
+    over a 1-D array of frequencies: ``((u+, s+, v+), (u-, s-, v-))``."""
     # eta = +1 sector (hole block = +i particle block): lower bidiagonal
-    up, sp, vp = _bidiagonal_svd(n, omega + 1j * (gamma / 2 - g_s), -2j * j, lower=True)
+    plus = _bidiagonal_svd(n, [w + 1j * (gamma / 2 - g_s) for w in omegas], -2j * j,
+                           lower=True)
     # eta = -1 sector: upper bidiagonal
-    um, sm, vm = _bidiagonal_svd(n, omega + 1j * (gamma / 2 + g_s), 2j * j, lower=False)
+    minus = _bidiagonal_svd(n, [w + 1j * (gamma / 2 + g_s) for w in omegas], 2j * j,
+                            lower=False)
+    return plus, minus
+
+
+def _channel_triple(plus, minus):
+    """The full 2n SVD, values ascending, from one frequency's channel SVDs:
+    ``w*I - H = T diag(B+, B-) T^dagger`` with ``T = [[I, I], [iI, -iI]]/sqrt(2)``."""
+    up, sp, vp = plus
+    um, sm, vm = minus
+    n = sp.size
     s = np.concatenate([sp, sm])
     u = np.zeros((2 * n, 2 * n), dtype=complex)
     v = np.zeros((2 * n, 2 * n), dtype=complex)
@@ -233,7 +279,8 @@ def factorize(h: DynamicalMatrix, omega: float):
     """
     channels = h.source.channels
     if channels is not None:
-        return _channel_svd(omega, *channels, h.n)
+        (up, sp, vp), (um, sm, vm) = _channel_svd([omega], *channels, h.n)
+        return _channel_triple((up[0], sp[0], vp[0]), (um[0], sm[0], vm[0]))
     try:
         return _dense_svd_ascending(omega * np.eye(2 * h.n) - h.h)
     except np.linalg.LinAlgError as exc:
@@ -243,14 +290,20 @@ def factorize(h: DynamicalMatrix, omega: float):
 def resolvent(h: DynamicalMatrix, omegas) -> NDArray[np.complex128]:
     """Stacked resolvents ``(w*I - H)^{-1}`` for a 1-D array of frequencies.
 
-    One batched LU solve against the identity, for paths that need only
-    ``G`` and not the singular values.  Where ``w*I - H`` is ill-conditioned
-    it stays closer to the exact inverse than ``V diag(1/s) U^dagger``
-    assembled from a dense SVD (checked against 40-digit values in the
-    tests).  An exactly singular shifted matrix raises
-    :class:`ResonanceError`.
+    For paths that need only ``G`` and not the full singular basis.  The
+    route follows the chain, as in :func:`factorize`.  On symmetric chains
+    ``G = T diag(G+, G-) T^dagger`` with ``G+- = V+- S+-^{-1} U+-^dagger``
+    from the channel SVDs, which carry the exponentially small topological
+    value to full relative accuracy.  Elsewhere one batched LU solve against
+    the identity, which where ``w*I - H`` is ill-conditioned stays closer to
+    the exact inverse than ``V diag(1/s) U^dagger`` assembled from a dense
+    SVD (checked against 40-digit values in the tests).  An exactly singular
+    shifted matrix raises :class:`ResonanceError`.
     """
     omegas = np.asarray(omegas, dtype=float)
+    channels = h.source.channels
+    if channels is not None:
+        return _channel_resolvent(omegas, channels, h.n)
     eye = np.eye(2 * h.n)
     shifted = omegas[:, None, None] * eye - h.h
     try:
@@ -262,6 +315,28 @@ def resolvent(h: DynamicalMatrix, omegas) -> NDArray[np.complex128]:
             f"omega in [{omegas.min()}, {omegas.max()}] is resonant: "
             f"w*I - H is singular"
         ) from exc
+
+
+def _channel_resolvent(omegas, channels, n):
+    """``T diag(G+, G-) T^dagger`` for every frequency, from one batched
+    channel SVD."""
+    halves = []
+    for u, s, v in _channel_svd(omegas, *channels, n):
+        # an all-zero channel passes the refinement test, so check every node
+        if not np.all(s[:, 0] > 0):
+            raise ResonanceError(
+                f"omega in [{omegas.min()}, {omegas.max()}] is resonant: "
+                f"a symmetry channel of w*I - H is singular"
+            )
+        halves.append((v / s[:, None, :]) @ u.conj().swapaxes(-1, -2))
+    g_plus, g_minus = halves
+    # with T = [[I, I], [iI, -iI]]/sqrt(2), G = [[E, -O], [O, E]] for
+    # E = (G+ + G-)/2 and O = i(G+ - G-)/2
+    g = np.empty((omegas.size, 2 * n, 2 * n), dtype=complex)
+    g[:, :n, :n] = g[:, n:, n:] = 0.5 * (g_plus + g_minus)
+    g[:, n:, :n] = odd = 0.5j * (g_plus - g_minus)
+    g[:, :n, n:] = -odd
+    return g
 
 
 def svd_at(h: DynamicalMatrix, omega: float) -> SvdTriple:

@@ -8,6 +8,7 @@ equation), so the agreement is limited only by the SVD's own
 ``eps * s_max`` floor.
 """
 
+import os
 import time
 
 import numpy as np
@@ -20,6 +21,9 @@ from topocorr.lindblad import steady_state_moments
 from topocorr.models import dynamical_matrix
 from topocorr.validate import run_validation
 from conftest import overlap
+
+# Sweep worker threads; disorder_sweep is bit-identical for any count.
+SWEEP_THREADS = min(2, os.cpu_count() or 1)
 
 MODEL_II_SETS = {
     # (g_c_prime, gamma_prime) -> published winding array at gamma = 4
@@ -237,7 +241,7 @@ def scaling_sweeps():
         base = tc.build_model_i(tc.ModelIParams(n_sites=100, gamma=gamma))
         gap = singular_gap(svd_at(dynamical_matrix(base), 0.0), 1)
         sweep = tc.disorder_sweep(base, w_grid, n_r=100, seed=42,
-                                  observable="lambda_n")
+                                  observable="lambda_n", threads=SWEEP_THREADS)
         out[gamma] = (gap, sweep)
     return out
 
@@ -286,7 +290,8 @@ class TestCriterion10BornRenormalization:
                 g_s=float(np.real(eff.g_s_eff)),
             ))
             r_eff = tc.r_parameter(svd_at(dynamical_matrix(c_eff), 0.0))
-            sweep = tc.disorder_sweep(base, [w], n_r=200, seed=7, observable="r")
+            sweep = tc.disorder_sweep(base, [w], n_r=200, seed=7, observable="r",
+                                      threads=SWEEP_THREADS)
             diff = abs(r_eff - sweep.means[0])
             worst = max(worst, diff)
             lines.append(f"W={w}: |r_eff - r_avg| = {diff:.4f}")

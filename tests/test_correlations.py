@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import topocorr as tc
+from topocorr import correlations
 from topocorr.correlations import QuadratureSpec, _integrand_factory, normalized_forms
 from topocorr.greensvd import SvdTriple
 from topocorr.lindblad import commutation_residual, steady_state_moments
@@ -180,6 +181,20 @@ INTEGRAND_ENTRIES = {
 }
 
 
+def oracle_channel_integrand(c, h):
+    """The integrand of a symmetric chain as the quadrature took it before
+    the channel route of ``resolvent``: ``V* Sigma V^T`` from one full
+    factorization per node (symmetric chains have no gain, so no P term)."""
+    n = c.n
+
+    def node(omega):
+        u, s, v = tc.factorize(h, omega)
+        sigma = (u[n:].T @ c.gamma_mat @ u[n:].conj()) / np.outer(s, s)
+        return v.conj() @ sigma @ v.T
+
+    return lambda omegas: np.stack([node(w) for w in omegas])
+
+
 class TestEqualTimeIntegrand:
     def test_dense_route_matches_exact_resolvent(self):
         # The LU resolvent reaches 5.5e-11 normwise here; the same integrand
@@ -204,6 +219,18 @@ class TestEqualTimeIntegrand:
         for w, val in zip(omegas, batch):
             single = integrand(np.array([w]))[0]
             assert np.linalg.norm(val - single) <= 1e-13 * np.linalg.norm(single)
+
+    @pytest.mark.parametrize("n,panels", [(12, 48), (40, 32)])
+    def test_channel_route_matches_the_per_node_oracle(self, monkeypatch, n, panels):
+        c = stable_chain(n=n, gamma=5.0)
+        assert c.channels is not None
+        et = tc.equal_time(c)
+        monkeypatch.setattr(correlations, "_integrand_factory", oracle_channel_integrand)
+        ref = tc.equal_time(c)
+        assert et.quadrature_report.panels == ref.quadrature_report.panels == panels
+        assert et.quadrature_report.omega_max == ref.quadrature_report.omega_max
+        for got, want in ((et.n_mat, ref.n_mat), (et.m_mat, ref.m_mat)):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("make,panels", [
         (lambda: tc.build_model_ii_full(tc.ModelIIParams(n_cells=15, gamma=3.0)), 40),

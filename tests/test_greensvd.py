@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import topocorr as tc
+from topocorr import greensvd
 from topocorr.models import symmetric_channels
 
 
@@ -11,6 +13,67 @@ def pure_loss_chain(n=4, gamma=2.0):
     return tc.build_model_i(tc.ModelIParams(
         n_sites=n, j=0.0, g_s=0.0, g_c=0.0, gamma=gamma
     ))
+
+
+def oracle_bidiagonal_svd(n, diag, offdiag, lower):
+    """One channel's SVD, one frequency per call, as ``factorize`` took it
+    before the channel SVD was batched over frequencies."""
+    br = np.diag(np.full(n, abs(diag)))
+    if lower:
+        br[np.arange(1, n), np.arange(n - 1)] = abs(offdiag)
+    else:
+        br[np.arange(n - 1), np.arange(1, n)] = abs(offdiag)
+    ur, s, vtr = scipy.linalg.svd(br, lapack_driver="gesvd")
+    s = s[::-1].copy()
+    ur = ur[:, ::-1]
+    vtr = vtr[::-1]
+    phase_fix = None
+    if s[0] < 1e-12 * s[-1]:
+        s0, u0, v0 = greensvd._smallest_triple_via_inverse(n, diag, offdiag, lower)
+        s[0] = s0
+        phase_fix = (u0, v0)
+    step = np.angle(offdiag) - np.angle(diag)
+    theta = (np.arange(n) * step) if lower else (-np.arange(n) * step)
+    phi = np.angle(diag) - theta
+    u = np.exp(1j * theta)[:, None] * ur
+    v = vtr.conj().T * np.exp(-1j * phi)[:, None]
+    if phase_fix is not None:
+        u[:, 0] = phase_fix[0]
+        v[:, 0] = phase_fix[1]
+    return u, s, v
+
+
+def oracle_channel_svd(omega, j, g_s, gamma, n):
+    """The full 2n SVD assembled from the two channels at one frequency."""
+    up, sp, vp = oracle_bidiagonal_svd(n, omega + 1j * (gamma / 2 - g_s), -2j * j, lower=True)
+    um, sm, vm = oracle_bidiagonal_svd(n, omega + 1j * (gamma / 2 + g_s), 2j * j, lower=False)
+    s = np.concatenate([sp, sm])
+    u = np.zeros((2 * n, 2 * n), dtype=complex)
+    v = np.zeros((2 * n, 2 * n), dtype=complex)
+    r = 1.0 / np.sqrt(2.0)
+    u[:n, :n] = r * up
+    u[n:, :n] = 1j * r * up
+    u[:n, n:] = r * um
+    u[n:, n:] = -1j * r * um
+    v[:n, :n] = r * vp
+    v[n:, :n] = 1j * r * vp
+    v[:n, n:] = r * vm
+    v[n:, n:] = -1j * r * vm
+    order = np.argsort(s, kind="stable")
+    return u[:, order], s[order], v[:, order]
+
+
+def count_refinements(monkeypatch):
+    """Count the calls of the channel inverse refinement."""
+    calls = []
+    original = greensvd._smallest_triple_via_inverse
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(greensvd, "_smallest_triple_via_inverse", counted)
+    return calls
 
 
 class TestChannelVerdict:
@@ -45,6 +108,40 @@ class TestFactorize:
         # the gauge fix multiplies each column by a unit phase
         np.testing.assert_allclose(np.abs(u), np.abs(t.u), rtol=0, atol=1e-15)
         np.testing.assert_allclose(np.abs(v), np.abs(t.v), rtol=0, atol=1e-15)
+
+
+class TestChannelSvd:
+    # n=40, gamma=3: the inverse refinement fires on the plus channel for
+    # |w| < 0.87 or so, and not elsewhere
+    CHAIN = tc.build_model_i(tc.ModelIParams(n_sites=40, gamma=3.0))
+    OMEGAS = np.array([-3.1, -1.2, -0.4, 0.0, 1e-3, 0.21, 0.5, 1.3, 2.7, 6.0])
+
+    def test_batch_matches_single_frequencies_bit_for_bit(self, monkeypatch):
+        calls = count_refinements(monkeypatch)
+        batch = greensvd._channel_svd(self.OMEGAS, *self.CHAIN.channels, 40)
+        assert len(calls) == 5
+        for i in range(self.OMEGAS.size):
+            single = greensvd._channel_svd(self.OMEGAS[i:i + 1], *self.CHAIN.channels, 40)
+            for channel, ref in zip(batch, single):
+                for got, want in zip(channel, ref):
+                    np.testing.assert_array_equal(got[i], want[0])
+
+    @pytest.mark.parametrize("scalar", [float, np.float64], ids=["python", "numpy"])
+    def test_svd_at_matches_the_per_frequency_assembly_bit_for_bit(self, scalar):
+        # Python and NumPy complex division round differently inside the
+        # refinement; each caller keeps the result it got one call at a time
+        h = tc.dynamical_matrix(self.CHAIN)
+        for w in self.OMEGAS:
+            w = scalar(w)
+            u, s, v = oracle_channel_svd(w, *self.CHAIN.channels, 40)
+            got = tc.factorize(h, w)
+            for a, b in zip(got, (u, s, v)):
+                np.testing.assert_array_equal(a, b)
+            t = tc.svd_at(h, w)
+            u, v = greensvd._fix_gauge(u, v)
+            np.testing.assert_array_equal(t.s, s)
+            np.testing.assert_array_equal(t.u, u)
+            np.testing.assert_array_equal(t.v, v)
 
 
 class TestSvdAt:
@@ -191,6 +288,31 @@ class TestResolvent:
         for w, gw in zip(self.OMEGAS, tc.resolvent(h, self.OMEGAS)):
             ref = tc.green_function(tc.svd_at(h, w)).g_full
             assert np.linalg.norm(gw - ref) < 1e-10 * np.linalg.norm(ref)
+
+    def test_channel_route_matches_the_closed_form_inverse(self, monkeypatch):
+        # w*I - H = T diag(B+, B-) T^dagger, where B+ is lower and B- upper
+        # bidiagonal Toeplitz with diagonal a = w + i kappa and off-diagonal
+        # b; the inverse of each is triangular Toeplitz, (-b)^m / a^(m+1)
+        n, gamma, w = 100, 4.0, 0.5
+        c = tc.build_model_i(tc.ModelIParams(n_sites=n, gamma=gamma))
+        j, g_s, _ = c.channels
+        m = np.subtract.outer(np.arange(n), np.arange(n))
+
+        def lower_inverse(a, b):
+            return np.where(m >= 0, (-b) ** np.abs(m) / a ** (np.abs(m) + 1), 0)
+
+        g_plus = lower_inverse(w + 1j * (gamma / 2 - g_s), -2j * j)
+        g_minus = lower_inverse(w + 1j * (gamma / 2 + g_s), 2j * j).T
+        eye = np.eye(n)
+        t = np.block([[eye, eye], [1j * eye, -1j * eye]]) / np.sqrt(2)
+        zero = np.zeros((n, n))
+        exact = t @ np.block([[g_plus, zero], [zero, g_minus]]) @ t.conj().T
+        assert np.max(np.abs(exact)) > 1e20
+
+        calls = count_refinements(monkeypatch)
+        g = tc.resolvent(tc.dynamical_matrix(c), np.array([w]))[0]
+        assert len(calls) == 1  # the plus channel's smallest value is refined
+        assert np.linalg.norm(g - exact) < 1e-12 * np.linalg.norm(exact)
 
     def test_singular_shift_is_a_resonance(self):
         # no hopping, pumping or loss: H = 0, so w = 0 is exactly singular
