@@ -184,6 +184,9 @@ class RunConfig:
                 _check_number("disorder.w_grid", val)
         elif grid is not None:
             raise ConfigError(f"disorder.w_grid must be a list or a mapping, got {grid!r}")
+        if not self.data["winding"]["refine_tol"] > 0:
+            raise ConfigError("winding.refine_tol must be positive, got "
+                              f"{self.data['winding']['refine_tol']}")
         if og["count"] < 2:
             raise ConfigError("omega_grid.count must be >= 2")
         if not og["min"] < og["max"]:

@@ -19,9 +19,11 @@ Every other fact of a chain lives on the chain too, decided once, on first
 use: its stability (``CouplingSet.stability``), decided in real arithmetic
 on the (x, p) quadrature form built from its blocks (:func:`real_form`),
 with a norm certificate when the eigensolve is inconclusive
-(:func:`is_dynamically_stable`); and its symmetric-channel structure
-(``CouplingSet.channels``, :func:`symmetric_channels`).  Chains are treated
-as immutable: a cached fact is never recomputed.
+(:func:`is_dynamically_stable`); its symmetric-channel structure
+(``CouplingSet.channels``, :func:`symmetric_channels`); and the
+coefficient table of its Bloch determinant (``CouplingSet.bloch_det``,
+:func:`bloch_det_coefficients`), which the winding scan evaluates.  Chains
+are treated as immutable: a cached fact is never recomputed.
 
 Hopping phase convention: the sub-diagonal carries the phase factor,
 ``j_mat[i+1, i] = J * exp(1j * phi)``.  The Fourier sign in
@@ -169,6 +171,12 @@ class CouplingSet:
         """The symmetric-channel verdict of this chain, decided once; see
         :func:`symmetric_channels`."""
         return symmetric_channels(self)
+
+    @cached_property
+    def bloch_det(self) -> ComplexMatrix:
+        """The coefficient table of ``det(w*I - H(k))``, computed once; see
+        :func:`bloch_det_coefficients`."""
+        return bloch_det_coefficients(self)
 
 
 @dataclass(frozen=True)
@@ -442,6 +450,37 @@ def bloch_matrix(c: CouplingSet, k) -> ComplexMatrix:
         plus = [acc + x * w for acc, x in zip(plus, (jd, kd, _rates(gd, pd)))]
         minus = [acc + x / w for acc, x in zip(minus, (jd, kd))]
     return _generator(*plus, hole=minus)
+
+
+def bloch_det_coefficients(c: CouplingSet) -> ComplexMatrix:
+    """``det(w*I - H(k))`` as a Laurent polynomial in ``z = exp(1j*k)``.
+
+    With unit cell ``M`` and largest cell displacement ``R``, every entry of
+    :func:`bloch_matrix` is a Laurent polynomial in ``z`` of degrees
+    ``-R..R``, so the determinant has degrees ``-D..D``, ``D = 2*M*R``, and
+    each of its coefficients is a polynomial of degree ``2M`` in ``w``.
+    Returns the ``(2D+1, 2M+1)`` table ``P`` with
+
+        ``det(w*I - H(k)) = sum_{p,j} P[p, j] * w**(2M - j) * z**(p - D)``.
+
+    The characteristic polynomial is taken at ``2D+1`` equispaced
+    wavevectors (one :func:`bloch_matrix` call, one small eigensolve per
+    wavevector); as the degrees lie in ``-D..D``, a DFT over the samples
+    gives the ``z`` coefficients without aliasing.
+    """
+    _require_cells(c, "bloch_det_coefficients")
+    size = 2 * c.unit_cell
+    deg = size * max(abs(d) for d in c.cell_blocks)
+    n_s = 2 * deg + 1
+    roots = np.linalg.eigvals(bloch_matrix(c, 2 * np.pi * np.arange(n_s) / n_s))
+    # row s: the coefficients of prod_j (w - roots[s, j]), highest power first
+    charpoly = np.zeros((n_s, size + 1), dtype=complex)
+    charpoly[:, 0] = 1.0
+    for j in range(size):
+        charpoly[:, 1:j + 2] -= roots[:, j:j + 1] * charpoly[:, :j + 1]
+    table = np.fft.fftshift(np.fft.fft(charpoly, axis=0), axes=0) / n_s
+    table.flags.writeable = False
+    return table
 
 
 @dataclass

@@ -7,14 +7,22 @@ winding-number array, the steady-state invariant: two chains are
 topologically equivalent iff their arrays have equal length and equal
 entries.
 
-The scan reuses everything that does not depend on the frequency.  The
-Bloch matrices come from the chain's own momentum grid
-(:func:`~topocorr.models.bloch_batch`), assembled once per grid size for
-all frequencies and bisection steps.  When :func:`winding_number` doubles
-the grid, the new grid contains the old one bit for bit, so the
-determinants already computed are kept and only the new odd points are
-evaluated.  Both reuses leave every determinant, and hence every array,
-unchanged bit for bit.
+The scan reuses everything that does not depend on the frequency.  With
+unit cell ``M`` and largest cell displacement ``R``, ``det(w*I - H(k))`` is
+a Laurent polynomial of degree ``D = 2*M*R`` in ``z = exp(1j*k)`` whose
+coefficients are polynomials of degree ``2M`` in ``w``.  Its coefficient
+table is computed once per chain (``CouplingSet.bloch_det``, from ``2D+1``
+Bloch matrices), so a determinant on the momentum grid costs one
+polynomial evaluation per k-point: no Bloch matrix is assembled and no LU
+is taken per frequency.  When :func:`winding_number` doubles the grid, the
+new grid contains the old one bit for bit and each point is evaluated on
+its own, so the determinants already computed are kept and only the new
+odd points are evaluated, leaving every determinant, and hence every
+array, unchanged bit for bit.  The rule of the scan (doublings, the
+``pi/2`` increment test, ``DET_CLOSING_TOL``, nudges and bisection) is
+that of a scan over LU determinants of the Bloch matrices, and the
+polynomial agrees with those to about 1e-15 of their largest value on the
+grid, so both scans visit the same k-points and reach the same arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .models import CouplingSet, DynamicalMatrix, bloch_batch
+from .models import CouplingSet, DynamicalMatrix
 
 DET_CLOSING_TOL = 1e-12
 _PHASE_INTEGER_TOL = 1e-6
@@ -68,21 +76,40 @@ class WindingArray:
                    stable=bool(d["stable"]))
 
 
+def _horner(coefs, x):
+    """``sum_i coefs[i] * x**(len(coefs) - 1 - i)`` by Horner's rule."""
+    acc = coefs[0]
+    for a in coefs[1:]:
+        acc = acc * x + a
+    return acc
+
+
 def _bloch_determinants(
     c: CouplingSet, omega: float, n_k: int, coarse: NDArray[np.complex128] | None = None
 ) -> NDArray[np.complex128]:
     """det(w*I - H(k)) on the ``n_k``-point momentum grid.
 
-    ``coarse`` holds the determinants on the ``n_k/2``-point grid, which are
-    the even points of this one; given it, only the odd points are evaluated.
+    Evaluates the chain's Laurent polynomial (``CouplingSet.bloch_det``)
+    point by point at ``z = exp(1j*k)``.  ``coarse`` holds the determinants
+    on the ``n_k/2``-point grid, which are the even points of this one;
+    given it, only the odd points are evaluated.
     """
-    mats = bloch_batch(c, n_k)
-    eye = np.eye(mats.shape[-1])
+    coef = _horner(c.bloch_det.T, omega)
+    ks = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
+    if coarse is not None:
+        ks = ks[1::2]
+    z = np.exp(1j * ks)
+    # powers 0..D in z, and -D..-1 in 1/z = conj(z)
+    deg = len(coef) // 2
+    vals = _horner(coef[deg:][::-1], z)
+    if deg:
+        zbar = z.conj()
+        vals = vals + zbar * _horner(coef[:deg], zbar)
     if coarse is None:
-        return np.linalg.det(omega * eye - mats)
+        return vals
     dets = np.empty(n_k, dtype=complex)
     dets[0::2] = coarse
-    dets[1::2] = np.linalg.det(omega * eye - mats[1::2])
+    dets[1::2] = vals
     return dets
 
 
@@ -98,11 +125,16 @@ def winding_number(c: CouplingSet, omega: float, n_k: int = 256) -> int:
     GapClosingError
         If the determinant vanishes on the grid (the frequency sits on a
         gap closing) or the phase accumulation fails to settle.
+    ValueError
+        If the chain has no cell blocks, or ``n_k`` is outside
+        ``[64, 2**18]``.
     """
     if not c.translationally_invariant:
         raise ValueError("winding number requires a translationally invariant chain")
     if n_k < 64:
         raise ValueError("n_k must be at least 64")
+    if n_k > _MAX_NK:
+        raise ValueError(f"n_k must be at most {_MAX_NK}, got {n_k}")
     dets = None
     while n_k <= _MAX_NK:
         dets = _bloch_determinants(c, omega, n_k, dets)
@@ -179,6 +211,8 @@ def winding_array(
     localizes to ``refine_tol``.  Closings narrower than the grid spacing
     are absorbed into a single detected transition.
     """
+    if not refine_tol > 0:
+        raise ValueError(f"refine_tol must be positive, got {refine_tol}")
     omegas = np.linspace(-omega_max, omega_max, n_omega)
     nus: list[int] = []
     grid_vals: list[tuple[float, int]] = []

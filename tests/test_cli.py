@@ -243,6 +243,9 @@ def test_unreachable_quadrature_tolerance_exits_numerical(tmp_path, capsys):
     ("correlations", {"correlations": {"omega": [1]}}, "correlations.omega"),
     ("disorder", {"threads": "two"}, "threads"),
     ("disorder", {"threads": float("inf")}, "threads"),
+    ("winding", {"winding": {"n_k": 1000000}}, "n_k"),
+    ("winding", {"winding": {"refine_tol": 0}}, "winding.refine_tol"),
+    ("winding", {"winding": {"refine_tol": -1}}, "winding.refine_tol"),
 ])
 def test_non_numeric_config_values_are_config_errors(tmp_path, capsys, command, config,
                                                      name):

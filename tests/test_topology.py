@@ -149,8 +149,9 @@ CRITERION_2_CHAINS = {
 
 
 class TestSharedBlochGrid:
-    """The scan reuses the chain's Bloch batch and the coarse determinants;
-    the arrays stay those of the per-call scan, bit for bit."""
+    """The scan evaluates the chain's determinant polynomial and reuses the
+    coarse determinants; the arrays stay those of the per-call LU scan, bit
+    for bit.  The Bloch batch itself is kept for the PBC spectrum."""
 
     @pytest.mark.parametrize("make", CRITERION_2_CHAINS.values(), ids=CRITERION_2_CHAINS)
     def test_arrays_match_the_per_call_scan(self, make):
@@ -164,6 +165,16 @@ class TestSharedBlochGrid:
     @settings(max_examples=6, deadline=None)
     def test_arrays_match_the_per_call_scan_on_a_sweep(self, gamma, g_c_prime, gamma_prime):
         c = effective_ii(gamma, g_c_prime, gamma_prime)
+        expected = outcome(c, oracle_winding_number(c), n_omega=101)
+        assert outcome(c, n_omega=101) == expected
+
+    @given(gamma=st.floats(2.0, 6.0), g_c_prime=st.floats(1.5, 5.0),
+           gamma_prime=st.floats(15.0, 50.0))
+    @settings(max_examples=6, deadline=None)
+    def test_full_dimer_arrays_match_the_per_call_scan_on_a_sweep(self, gamma, g_c_prime,
+                                                                  gamma_prime):
+        c = tc.build_model_ii_full(tc.ModelIIParams(
+            n_cells=2, gamma=gamma, g_c_prime=g_c_prime, gamma_prime=gamma_prime))
         expected = outcome(c, oracle_winding_number(c), n_omega=101)
         assert outcome(c, n_omega=101) == expected
 
@@ -234,18 +245,89 @@ class TestSharedBlochGrid:
             return real(c, k)
 
         monkeypatch.setattr(models, "bloch_matrix", counting)
-        c = model_i(1.6)
-        tc.winding_array(c, n_omega=101)
-        tc.winding_number(c, 0.0)
-        # one build at n_k = 256, then one per doubling with only its new points
-        assert len(sizes) >= 2
-        assert sizes == [256] + [256 * 2**i for i in range(len(sizes) - 1)]
+        for make in (lambda: model_i(1.6), lambda: model_ii_full(3.0)):
+            c = make()
+            tc.winding_array(c, n_omega=101)
+            tc.winding_number(c, 0.0)
+        # one build per chain, at the 2D + 1 samples of its determinant
+        # polynomial (D = 2 * unit cell * largest displacement); none per k-point
+        assert sizes == [5, 9]
 
     def test_coarse_determinants_are_reused(self):
         c = model_ii_full(3.0)
         coarse = topology._bloch_determinants(c, 0.7, 256)
         fine = topology._bloch_determinants(c, 0.7, 512, coarse)
         assert fine.tobytes() == topology._bloch_determinants(c, 0.7, 512).tobytes()
+
+
+def random_cell_blocks(unit_cell, reach, seed):
+    """Cell blocks of a generic chain: every block couples every pair of
+    sites, out to displacement ``reach``, with the Hermitian, symmetric and
+    real-symmetric pairings a coupling set requires."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    def draw(real=False):
+        x = rng.standard_normal((unit_cell, unit_cell))
+        return x if real else x + 1j * rng.standard_normal((unit_cell, unit_cell))
+
+    blocks = {}
+    for d in range(reach + 1):
+        jd, kd, gd, pd = draw(), draw(), draw(True), draw(True)
+        if d == 0:
+            jd, kd, gd, pd = jd + jd.conj().T, kd + kd.T, gd + gd.T, pd + pd.T
+        blocks[d] = (jd, kd, gd, pd)
+        blocks[-d] = (jd.conj().T, kd.T, gd.T, pd.T)
+    return blocks
+
+
+DET_CHAINS = {
+    "model_i": lambda: model_i(4.0),
+    "model_ii_full": lambda: model_ii_full(3.0),
+    "model_ii_effective": lambda: effective_ii(3.0),
+    "cell3-reach2": lambda: models._chain(random_cell_blocks(3, 2, 11), 3, 5),
+}
+
+
+class TestBlochDeterminants:
+    """``_bloch_determinants`` evaluates the chain's determinant polynomial;
+    it must agree with the LU determinant of the assembled Bloch matrices."""
+
+    @pytest.mark.parametrize("make", DET_CHAINS.values(), ids=DET_CHAINS)
+    @pytest.mark.parametrize("n_k", [64, 256, 1000])
+    def test_agrees_with_the_lu_determinant(self, make, n_k):
+        c = make()
+        mats = tc.bloch_matrix(c, grid(n_k))
+        eye = np.eye(mats.shape[-1])
+        for omega in np.linspace(-4.0, 4.0, 17):
+            lu = np.linalg.det(omega * eye - mats)
+            dets = topology._bloch_determinants(c, omega, n_k)
+            assert np.max(np.abs(dets - lu)) <= 1e-12 * np.max(np.abs(lu))
+
+    def test_table_reaches_the_degree_bound(self):
+        # unit cell 3 and |d| <= 2: degree 2 * 3 * 2 = 12 in z and 6 in omega
+        table = DET_CHAINS["cell3-reach2"]().bloch_det
+        assert table.shape == (25, 7)
+        assert np.min(np.abs(table[[0, -1], -1])) > 1e-3 * np.max(np.abs(table))
+        # the leading omega**6 coefficient is z**0 alone
+        np.testing.assert_allclose(table[:, 0], np.eye(25)[12], rtol=0, atol=1e-15)
+
+    def test_table_is_computed_once_per_chain(self):
+        c = model_ii_full(3.0)
+        assert c.bloch_det is c.bloch_det
+        assert not c.bloch_det.flags.writeable
+        with pytest.raises(ValueError):
+            tc.apply_disorder(model_i(4.0, n=4), tc.gaussian_disorder(4, 0.1, 5)).bloch_det
+
+
+class TestScanArguments:
+    def test_grid_beyond_the_largest_is_rejected(self):
+        with pytest.raises(ValueError, match="n_k must be at most"):
+            tc.winding_number(model_i(4.0), 0.0, n_k=1_000_000)
+
+    @pytest.mark.parametrize("refine_tol", [0.0, -1.0, float("nan")])
+    def test_non_positive_refine_tol_is_rejected(self, refine_tol):
+        with pytest.raises(ValueError, match="refine_tol must be positive"):
+            tc.winding_array(model_i(4.0), n_omega=11, refine_tol=refine_tol)
 
 
 def failing_near(points, half_width):
