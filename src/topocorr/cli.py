@@ -72,7 +72,7 @@ from .models import (
     UnstableSystemError,
     adiabatic_eliminate,
     assert_stable,
-    bloch_batch,
+    bloch_matrix,
     build_model_i,
     build_model_ii_full,
     dynamical_matrix,
@@ -318,7 +318,10 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     else:
         # Band structure is a property of the matrix family, not of a steady
         # state, so the stability gate does not apply under pbc.
-        bloch = bloch_batch(c, int(cfg.data["winding"]["n_k"]))
+        n_k = int(cfg.data["winding"]["n_k"])
+        if n_k < 1:
+            raise ValueError(f"n_k must be positive, got {n_k}")
+        bloch = bloch_matrix(c, np.linspace(-np.pi, np.pi, n_k, endpoint=False))
         eye = np.eye(bloch.shape[-1])
         rows = []
         for w in omegas:

@@ -6,12 +6,17 @@ Vh^T`` with ``Sigma`` the amplification matrix and ``Vp``/``Vh`` the
 particle/hole blocks of the right singular vectors.  Equal-time matrices
 integrate the frequency-resolved ones over all frequencies with an adaptive
 composite Gauss-Legendre rule plus an analytic large-frequency tail.  The
-integrand ``G* D G^T`` needs only the resolvent ``G = (w*I - H)^{-1}``, and
-every chain evaluates it with one :func:`resolvent` call per panel: a
-batched LU solve, or on symmetric chains the batched bidiagonal channel
-SVDs, which resolve the exponentially small topological singular value to
-full relative accuracy.  A panel that cannot reach the tolerance within
-``MAX_PANELS`` panels raises :class:`QuadratureError`.
+integrand ``I(w) = G* D G^T`` needs only the resolvent
+``G = (w*I - H)^{-1}``.  Every generator obeys ``C H* C = -H`` with ``C``
+the particle-hole block swap, so for real ``w`` ``G(-w) = -C G(w)* C``
+and ``I(-w)`` follows from the same resolvent; the rule therefore
+integrates ``I(w) + I(-w)`` over ``[0, W]``.  Every chain evaluates both
+halves with one :func:`resolvent` call per panel: a batched LU solve, or
+on symmetric chains the batched bidiagonal channel SVDs, which resolve the
+exponentially small topological singular value to full relative accuracy.
+``QuadratureReport.panels`` counts panels of ``[-W, W]``, two per folded
+panel, and a refinement that would need more than ``MAX_PANELS`` of them
+raises :class:`QuadratureError`.
 
 Normalization divides every entry by the geometric mean of the
 corresponding diagonal occupations, so normalized diagonals are exactly one
@@ -188,25 +193,36 @@ def rank1_approximation(t: SvdTriple, c: CouplingSet) -> FreqCorrelations:
 
 
 def _integrand_factory(c: CouplingSet, h: DynamicalMatrix):
-    """Return the stacked integrand ``G*(w) D G(w)^T`` at an array of nodes.
+    """Return ``integrand(omegas) -> (I(w), I(-w))``, both stacked over the nodes.
 
-    ``D = diag(P, Gamma)`` is the noise matrix, and ``G`` comes from one
-    :func:`resolvent` call for all nodes, which takes the chain's route:
-    the bidiagonal channel SVDs on symmetric chains, the LU solve elsewhere.
-    ``P`` enters as a full matrix, since the effective model's gain matrix
-    is not diagonal.
+    ``I(w) = G*(w) D G(w)^T`` with ``D = diag(P, Gamma)`` the noise matrix,
+    and ``G`` comes from one :func:`resolvent` call for all nodes, which
+    takes the chain's route: the bidiagonal channel SVDs on symmetric
+    chains, the LU solve elsewhere.  Every generator obeys ``C H* C = -H``
+    with ``C`` the particle-hole block swap, so for real ``w``
+    ``G(-w) = -C G(w)* C`` and the mirror half needs no second resolvent:
+    ``I(-w) = C [G_p Gamma G_p^dagger + G_h P G_h^dagger] C`` with
+    ``G_p = G[:, :n]`` and ``G_h = G[:, n:]``.  ``P`` enters as a full
+    matrix, since the effective model's gain matrix is not diagonal.
     """
     n = c.n
     p_zero = not np.any(c.p_mat)
 
     def integrand(omegas):
         g = resolvent(h, omegas)
-        g_hole = g[..., n:]
-        out = g_hole.conj() @ c.gamma_mat @ g_hole.swapaxes(-1, -2)
+        g_part, g_hole = g[..., :n], g[..., n:]
+        direct = g_hole.conj() @ c.gamma_mat @ g_hole.swapaxes(-1, -2)
+        swapped = g_part @ c.gamma_mat @ g_part.conj().swapaxes(-1, -2)
         if not p_zero:
-            g_part = g[..., :n]
-            out = out + g_part.conj() @ c.p_mat @ g_part.swapaxes(-1, -2)
-        return out
+            direct += g_part.conj() @ c.p_mat @ g_part.swapaxes(-1, -2)
+            swapped += g_hole @ c.p_mat @ g_hole.conj().swapaxes(-1, -2)
+        # C X C swaps both the block rows and the block columns of X
+        mirror = np.empty_like(swapped)
+        mirror[..., :n, :n] = swapped[..., n:, n:]
+        mirror[..., :n, n:] = swapped[..., n:, :n]
+        mirror[..., n:, :n] = swapped[..., :n, n:]
+        mirror[..., n:, n:] = swapped[..., :n, :n]
+        return direct, mirror
 
     return integrand
 
@@ -233,9 +249,10 @@ def _tail_next_order(h, noise, omega_max):
 
 def _choose_omega_max(c, h, integrand, quad):
     omega_max = 4.0 * max(np.max(np.abs(np.linalg.eigvals(h))), 1.0)
-    probe = np.linspace(-omega_max, omega_max, 41)
-    peak = max(float(np.trace(val).real) for val in integrand(probe))
-    while float(np.trace(integrand(np.array([omega_max]))[0]).real) > quad.tail_tol * peak:
+    # 21 nonnegative probes give the integrand at 41 points of [-W, W]
+    probe = np.linspace(0.0, omega_max, 21)
+    peak = max(float(np.trace(val).real) for half in integrand(probe) for val in half)
+    while float(np.trace(integrand(np.array([omega_max]))[0][0]).real) > quad.tail_tol * peak:
         omega_max *= 2.0
     # the analytic tail handles what remains; make sure its own truncation
     # error is small relative to the leading tail term
@@ -250,11 +267,14 @@ def _choose_omega_max(c, h, integrand, quad):
 def equal_time(c: CouplingSet, quad: QuadratureSpec = QuadratureSpec()) -> EqualTimeCorrelations:
     """Equal-time correlations by adaptive frequency integration.
 
-    Composite Gauss-Legendre panels over ``[-W, W]`` are bisected wherever
-    the two-half refinement changes the panel integral by more than its
-    share of the tolerance; the analytic resolvent-series tail covers
-    ``|w| > W``.  The chain must be dynamically stable for the integral to
-    exist.
+    The integral of ``I(w) = G*(w) D G(w)^T`` over ``[-W, W]`` is folded
+    onto ``[0, W]``: composite Gauss-Legendre panels there integrate
+    ``I(w) + I(-w)``, both halves from one resolvent per panel (see
+    :func:`_integrand_factory`).  A panel is bisected wherever the two-half
+    refinement changes its integral by more than its share of the
+    tolerance; the analytic resolvent-series tail covers ``|w| > W``.  The
+    report counts panels of ``[-W, W]``, two per folded panel.  The chain
+    must be dynamically stable for the integral to exist.
     """
     assert_stable(c, "equal_time")
     h = dynamical_matrix(c)
@@ -264,16 +284,18 @@ def equal_time(c: CouplingSet, quad: QuadratureSpec = QuadratureSpec()) -> Equal
 
     def panel_integral(lo, hi):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        folded, mirror = integrand(mid + half * nodes)
+        folded += mirror
         # accumulated node by node, in node order, so the sum does not depend
         # on how the integrand batches its nodes
         acc = None
-        for w, val in zip(weights, integrand(mid + half * nodes)):
+        for w, val in zip(weights, folded):
             acc = w * val if acc is None else acc + w * val
         return half * acc / (2 * np.pi)
 
     # first pass: moderate uniform panels give an initial tolerance scale
-    n_seed = 16
-    edges = np.linspace(-omega_max, omega_max, n_seed + 1)
+    n_seed = 8
+    edges = np.linspace(0.0, omega_max, n_seed + 1)
     worklist = [(edges[i], edges[i + 1], panel_integral(edges[i], edges[i + 1]))
                 for i in range(n_seed)]
     scale = max(float(np.linalg.norm(sum(item[2] for item in worklist), "fro")), 1e-300)
@@ -289,11 +311,12 @@ def equal_time(c: CouplingSet, quad: QuadratureSpec = QuadratureSpec()) -> Equal
         fine = left + right
         diff = np.linalg.norm(coarse - fine, "fro")
         # Accept on a width-proportional share of the running global budget
-        # or on convergence relative to the panel's own magnitude; sharply
-        # peaked integrands dwarf the seed estimate, so the global scale is
+        # (a folded panel takes the shares of its two mirrored halves) or on
+        # convergence relative to the panel's own magnitude; sharply peaked
+        # integrands dwarf the seed estimate, so the global scale is
         # refreshed as panels land.
         budget = max(
-            quad.rel_tol * scale * (hi - lo) / (2 * omega_max),
+            quad.rel_tol * scale * (hi - lo) / omega_max,
             quad.rel_tol * np.linalg.norm(fine, "fro"),
         )
         if diff <= budget:
@@ -301,11 +324,13 @@ def equal_time(c: CouplingSet, quad: QuadratureSpec = QuadratureSpec()) -> Equal
             n_accepted += 2
             est_error += diff
             scale = max(scale, float(np.linalg.norm(total, "fro")))
-        elif n_accepted + len(worklist) + 2 >= MAX_PANELS:
+        elif 2 * (n_accepted + len(worklist) + 2) >= MAX_PANELS:
+            # each folded panel stands for two panels of [-W, W]
             raise QuadratureError(
                 f"equal-time quadrature did not reach rel_tol={quad.rel_tol:g} within "
-                f"{MAX_PANELS} panels: the panel of width {hi - lo:.3g} at omega={mid:.6g} "
-                f"still changes by {diff:.3e} against a budget of {budget:.3e}"
+                f"{MAX_PANELS} panels: the panels of width {hi - lo:.3g} at "
+                f"omega=+-{mid:.6g} still change by {diff:.3e} against a budget of "
+                f"{budget:.3e}"
             )
         else:
             worklist.append((lo, mid, left))
@@ -319,7 +344,7 @@ def equal_time(c: CouplingSet, quad: QuadratureSpec = QuadratureSpec()) -> Equal
     m_mat = total[:n, n:]
     n_bar, m_bar, excluded = normalized_forms(n_mat, m_mat)
     report = QuadratureReport(
-        omega_max=omega_max, panels=n_accepted, est_error=float(est_error)
+        omega_max=omega_max, panels=2 * n_accepted, est_error=float(est_error)
     )
     return EqualTimeCorrelations(
         n_mat=n_mat, m_mat=m_mat, n_bar=n_bar, m_bar=m_bar,

@@ -145,9 +145,10 @@ def _bidiagonal_svd(n, diags, offdiag, lower):
     vtr = vtr[:, ::-1]
     refined = []
     for i in np.nonzero(s[:, 0] < _INVERSE_REFINE_REL * s[:, -1])[0]:
-        # the caller's own scalar: Python and NumPy complex division round
-        # differently, and the inverse raises the ratio to the n-th power
-        diag = diags[i]
+        # one scalar type whatever the caller passed: Python and NumPy complex
+        # division round differently, and the inverse raises the ratio to the
+        # n-th power
+        diag = complex(diags[i])
         s0, u0, v0 = _smallest_triple_via_inverse(n, diag, offdiag, lower)
         if s0 is None:
             raise ResonanceError(

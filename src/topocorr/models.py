@@ -11,13 +11,11 @@ A translationally invariant chain is described once, by its cell blocks
 (``CouplingSet.cell_blocks``): the builders state only those, and
 :func:`_tile` lays them out on the open chain, or on the ring for
 :func:`pbc_dynamical_matrix`.  Every generator, in real space or at a
-wavevector, is assembled by the one function :func:`_generator`.  The
-Bloch batch on the momentum grid is kept with the chain and grown on demand
-(:func:`bloch_batch`).
+wavevector, is assembled by the one function :func:`_generator`.
 
-Every other fact of a chain lives on the chain too, decided once, on first
-use: its stability (``CouplingSet.stability``), decided in real arithmetic
-on the (x, p) quadrature form built from its blocks (:func:`real_form`),
+Every fact of a chain lives on the chain, decided once, on first use: its
+stability (``CouplingSet.stability``), decided in real arithmetic on the
+(x, p) quadrature form built from its blocks (:func:`real_form`),
 with a norm certificate when the eigensolve is inconclusive
 (:func:`is_dynamically_stable`); its symmetric-channel structure
 (``CouplingSet.channels``, :func:`symmetric_channels`); and the
@@ -154,11 +152,6 @@ class CouplingSet:
     def noise_matrix(self) -> NDArray[np.float64]:
         """Block-diagonal bath moment matrix diag(P, Gamma)."""
         return scipy.linalg.block_diag(self.p_mat, self.gamma_mat)
-
-    @cached_property
-    def _bloch_grid(self) -> _BlochGrid:
-        """The chain's Bloch batch, grown on demand; see :func:`bloch_batch`."""
-        return _BlochGrid()
 
     @cached_property
     def stability(self) -> StabilityVerdict:
@@ -481,58 +474,6 @@ def bloch_det_coefficients(c: CouplingSet) -> ComplexMatrix:
     table = np.fft.fftshift(np.fft.fft(charpoly, axis=0), axes=0) / n_s
     table.flags.writeable = False
     return table
-
-
-@dataclass
-class _BlochGrid:
-    """The finest Bloch batch of one chain built so far; replaced, never
-    modified."""
-
-    mats: ComplexMatrix | None = None
-
-
-def _nested(coarse: int, fine: int) -> bool:
-    """Whether the ``coarse``-point momentum grid is every ``fine/coarse``-th
-    point of the ``fine`` one, bit for bit: the ratio is a power of two."""
-    ratio, rem = divmod(fine, coarse)
-    return rem == 0 and ratio & (ratio - 1) == 0
-
-
-def bloch_batch(c: CouplingSet, n_k: int) -> ComplexMatrix:
-    """:func:`bloch_matrix` on the momentum grid ``k_m = -pi + 2 pi m / n_k``.
-
-    The batch ``(n_k, 2M, 2M)`` is kept with the chain and reused.  Grids
-    whose sizes differ by a power of two are nested bit for bit, so only the
-    finest grid built so far is stored: a coarser ``n_k`` is a strided view of
-    it, and a finer one is reached by doublings that each assemble only the
-    new odd points.  A request not nested with the stored grid gets a batch
-    of its own, which replaces the stored one only if it is finer.  The
-    result is read-only; a stored batch is replaced but never modified, so a
-    concurrent caller sees either the old batch or the new one.
-    """
-    _require_cells(c, "bloch_batch")
-    if n_k < 1:
-        raise ValueError(f"n_k must be positive, got {n_k}")
-    grid = c._bloch_grid
-    mats = grid.mats
-    size = 0 if mats is None else len(mats)
-    if size and _nested(n_k, size):
-        return mats[:: size // n_k]
-    ks = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
-    if size and _nested(size, n_k):
-        while len(mats) < n_k:
-            step = n_k // (2 * len(mats))
-            odd = bloch_matrix(c, ks[step::2 * step])
-            grown = np.empty((2 * len(mats),) + mats.shape[1:], dtype=complex)
-            grown[0::2] = mats
-            grown[1::2] = odd
-            mats = grown
-    else:
-        mats = bloch_matrix(c, ks)
-    mats.flags.writeable = False
-    if n_k > size:
-        grid.mats = mats
-    return mats
 
 
 def pbc_dynamical_matrix(c: CouplingSet) -> ComplexMatrix:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+import topocorr as tc
 from topocorr.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -108,7 +109,20 @@ class TestSpectrumCommand:
             "--n-sites", "10", "--omega-count", "5", "--out", str(tmp_path),
         ])
         assert rc == EXIT_OK
-        assert (tmp_path / "spectrum_pbc.csv").exists()
+        cfg = RunConfig.load(None, {
+            "boundary": "pbc", "params": {"gamma": 8.0, "n_sites": 10},
+            "omega_grid": {"count": 5},
+        })
+        n_k = cfg.data["winding"]["n_k"]
+        bloch = tc.bloch_matrix(cfg.coupling_set(),
+                                np.linspace(-np.pi, np.pi, n_k, endpoint=False))
+        expected = []
+        for w in cfg.omega_values():
+            svals = np.linalg.svd(w * np.eye(bloch.shape[-1]) - bloch, compute_uv=False)
+            # values come descending per k; band 0 is the lowest
+            expected.extend((w, band, s) for band, s in enumerate(svals[:, ::-1].min(axis=0)))
+        rows = [row.split(",") for row in read_lines(tmp_path / "spectrum_pbc.csv")[2:]]
+        assert [(float(w), int(b), float(s)) for w, b, s in rows] == expected
 
     def test_instability_exit_code(self, tmp_path):
         rc = run([

@@ -182,9 +182,10 @@ INTEGRAND_ENTRIES = {
 
 
 def oracle_channel_integrand(c, h):
-    """The integrand of a symmetric chain as the quadrature took it before
-    the channel route of ``resolvent``: ``V* Sigma V^T`` from one full
-    factorization per node (symmetric chains have no gain, so no P term)."""
+    """The folded integrand of a symmetric chain as the quadrature took it
+    before the channel route of ``resolvent``: ``V* Sigma V^T`` from one full
+    factorization per node, taken independently at ``+w`` and at ``-w``
+    (symmetric chains have no gain, so no P term)."""
     n = c.n
 
     def node(omega):
@@ -192,7 +193,17 @@ def oracle_channel_integrand(c, h):
         sigma = (u[n:].T @ c.gamma_mat @ u[n:].conj()) / np.outer(s, s)
         return v.conj() @ sigma @ v.T
 
-    return lambda omegas: np.stack([node(w) for w in omegas])
+    def integrand(omegas):
+        return np.stack([node(w) for w in omegas]), np.stack([node(-w) for w in omegas])
+
+    return integrand
+
+
+FOLD_CHAINS = {
+    "channels": lambda: stable_chain(n=6, gamma=4.0),
+    "dense": lambda: tc.build_model_ii_full(tc.ModelIIParams(n_cells=3, gamma=3.0)),
+    "gain": lambda: tc.adiabatic_eliminate(tc.ModelIIParams(n_cells=4, gamma=3.0)),
+}
 
 
 class TestEqualTimeIntegrand:
@@ -202,7 +213,8 @@ class TestEqualTimeIntegrand:
         # values by 5.8e-7 normwise and by 1.9e-6 on entry (0, 30).
         c = tc.adiabatic_eliminate(tc.ModelIIParams(n_cells=30, gamma=3.0))
         assert c.channels is None
-        val = _integrand_factory(c, tc.dynamical_matrix(c))(np.array([INTEGRAND_W]))[0]
+        direct, _ = _integrand_factory(c, tc.dynamical_matrix(c))(np.array([INTEGRAND_W]))
+        val = direct[0]
         assert abs(np.trace(val) - INTEGRAND_TRACE) < 1e-9 * INTEGRAND_TRACE
         assert abs(np.linalg.norm(val) - INTEGRAND_FRO) < 1e-9 * INTEGRAND_FRO
         for ij, ref in INTEGRAND_ENTRIES.items():
@@ -215,10 +227,25 @@ class TestEqualTimeIntegrand:
     def test_batch_matches_single_nodes(self, chain):
         integrand = _integrand_factory(chain, tc.dynamical_matrix(chain))
         omegas = np.array([-1.3, 0.0, 0.4])
-        batch = integrand(omegas)
-        for w, val in zip(omegas, batch):
-            single = integrand(np.array([w]))[0]
-            assert np.linalg.norm(val - single) <= 1e-13 * np.linalg.norm(single)
+        for half, batch in enumerate(integrand(omegas)):
+            for w, val in zip(omegas, batch):
+                single = integrand(np.array([w]))[half][0]
+                assert np.linalg.norm(val - single) <= 1e-13 * np.linalg.norm(single)
+
+    @pytest.mark.parametrize("make", FOLD_CHAINS.values(), ids=FOLD_CHAINS)
+    def test_mirror_half_is_the_integrand_at_minus_omega(self, make):
+        # G(-w) = -C G(w)* C for every generator; "gain" has P != 0
+        c = make()
+        h = tc.dynamical_matrix(c)
+        integrand = _integrand_factory(c, h)
+        omegas = np.array([0.0, 0.21, 0.4, 1.3, 2.9, 7.0])
+        _, mirror = integrand(omegas)
+        direct, _ = integrand(-omegas)
+        for w, got, want in zip(omegas, mirror, direct):
+            # the LU resolvent at -w carries its own rounding, ~ cond * eps
+            cond = np.linalg.cond(w * np.eye(2 * c.n) - h.h)
+            bound = max(1e-13, 2 * cond * np.finfo(float).eps)
+            assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want), w
 
     @pytest.mark.parametrize("n,panels", [(12, 48), (40, 32)])
     def test_channel_route_matches_the_per_node_oracle(self, monkeypatch, n, panels):

@@ -1,6 +1,3 @@
-import sys
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,7 +148,7 @@ CRITERION_2_CHAINS = {
 class TestSharedBlochGrid:
     """The scan evaluates the chain's determinant polynomial and reuses the
     coarse determinants; the arrays stay those of the per-call LU scan, bit
-    for bit.  The Bloch batch itself is kept for the PBC spectrum."""
+    for bit."""
 
     @pytest.mark.parametrize("make", CRITERION_2_CHAINS.values(), ids=CRITERION_2_CHAINS)
     def test_arrays_match_the_per_call_scan(self, make):
@@ -177,64 +174,6 @@ class TestSharedBlochGrid:
             n_cells=2, gamma=gamma, g_c_prime=g_c_prime, gamma_prime=gamma_prime))
         expected = outcome(c, oracle_winding_number(c), n_omega=101)
         assert outcome(c, n_omega=101) == expected
-
-    @pytest.mark.parametrize("make", [lambda: model_i(4.0), lambda: model_ii_full(3.0)],
-                             ids=["model_i", "model_ii_full"])
-    def test_coarse_grids_are_strided_views(self, make):
-        c = make()
-        fine = tc.bloch_batch(c, 1024)
-        for n_k in (1024, 512, 256, 64, 1):
-            coarse = tc.bloch_batch(c, n_k)
-            assert np.shares_memory(coarse, fine)
-            assert coarse.tobytes() == tc.bloch_matrix(c, grid(n_k)).tobytes()
-
-    @pytest.mark.parametrize("start,n_k", [(256, 1024), (100, 400), (64, 64)])
-    def test_doubled_grid_is_the_direct_batch(self, start, n_k):
-        c = model_ii_full(3.0)
-        tc.bloch_batch(c, start)
-        assert tc.bloch_batch(c, n_k).tobytes() == tc.bloch_matrix(c, grid(n_k)).tobytes()
-
-    def test_unnested_request_keeps_the_finer_grid(self):
-        c = model_i(4.0)
-        fine = tc.bloch_batch(c, 512)
-        other = tc.bloch_batch(c, 96)
-        assert other.tobytes() == tc.bloch_matrix(c, grid(96)).tobytes()
-        assert np.shares_memory(tc.bloch_batch(c, 128), fine)
-
-    def test_batch_is_read_only(self):
-        mats = tc.bloch_batch(model_i(4.0), 64)
-        with pytest.raises(ValueError):
-            mats[0, 0, 0] = 0.0
-
-    def test_batch_lives_with_its_chain(self):
-        c, twin = model_i(4.0), model_i(4.0)
-        assert not np.shares_memory(tc.bloch_batch(c, 64), tc.bloch_batch(twin, 64))
-        dis = tc.apply_disorder(model_i(4.0, n=4), tc.gaussian_disorder(4, 0.1, 5))
-        with pytest.raises(ValueError):
-            tc.bloch_batch(dis, 64)
-
-    def test_concurrent_requests_see_whole_batches(self):
-        c = model_i(4.0)
-        sizes = [64 * 2 ** (i % 7) for i in range(48)]
-        expected = {n: tc.bloch_matrix(c, grid(n)).tobytes() for n in set(sizes)}
-        wrong = []
-
-        def worker(ns):
-            wrong.extend(n for n in ns if tc.bloch_batch(c, n).tobytes() != expected[n])
-
-        threads = [threading.Thread(target=worker, args=(sizes[i::6][:: (-1) ** i],))
-                   for i in range(6)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert wrong == []
 
     def test_each_k_point_is_assembled_once(self, monkeypatch):
         sizes = []
