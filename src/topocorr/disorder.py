@@ -105,10 +105,14 @@ def disorder_sweep(
         ``"lambda_n"`` (mean absolute normalized correlation at ``omega``)
         or ``"r"`` (singular-value spacing ratio at ``omega``).
     threads:
-        Worker threads; results are identical for any thread count.
+        Worker threads, one pool for the whole sweep; results are identical
+        for any thread count.
 
-    Unstable realizations are skipped and counted; a warning-level flag is
-    raised through the result when more than 10% drop out at some strength.
+    Unstable realizations are skipped and counted in ``n_unstable``; the
+    ``disorder`` CLI command prints a warning when more than 10% drop out at
+    some strength.  The base's imaginary gauge (``CouplingSet.gauge``) is
+    searched before the workers start: when it is certified, every draw
+    inherits a stable verdict and skips its own eigensolve.
     """
     if observable not in _OBSERVABLES:
         raise ValueError(f"observable must be one of {_OBSERVABLES}")
@@ -116,22 +120,26 @@ def disorder_sweep(
         raise ValueError("n_r must be at least 1")
     if not is_dynamically_stable(dynamical_matrix(base)):
         raise ValueError("base chain is unstable at zero disorder")
+    base.gauge  # searched once, before the workers read it
     w_grid = np.asarray(w_grid, dtype=float)
 
-    def one(i_w, w, r):
-        real = gaussian_disorder(base.n, w, realization_seed(seed, i_w, r))
+    def one(job):
+        i_w, r = job
+        real = gaussian_disorder(base.n, w_grid[i_w], realization_seed(seed, i_w, r))
         return _evaluate_observable(apply_disorder(base, real), observable, omega)
 
+    jobs = [(i_w, r) for i_w in range(w_grid.size) for r in range(n_r)]
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            vals = list(pool.map(one, jobs))
+    else:
+        vals = [one(job) for job in jobs]
     means = np.empty(w_grid.size)
     stderrs = np.empty(w_grid.size)
     n_unstable = np.zeros(w_grid.size, dtype=np.int64)
-    for i_w, w in enumerate(w_grid):
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                vals = list(pool.map(lambda r: one(i_w, w, r), range(n_r)))
-        else:
-            vals = [one(i_w, w, r) for r in range(n_r)]
-        good = np.array([v for v in vals if v is not None], dtype=float)
+    for i_w in range(w_grid.size):
+        chunk = vals[i_w * n_r:(i_w + 1) * n_r]
+        good = np.array([v for v in chunk if v is not None], dtype=float)
         n_unstable[i_w] = n_r - good.size
         if good.size == 0:
             means[i_w] = np.nan

@@ -17,7 +17,9 @@ Every fact of a chain lives on the chain, decided once, on first use: its
 stability (``CouplingSet.stability``), decided in real arithmetic on the
 (x, p) quadrature form built from its blocks (:func:`real_form`),
 with a norm certificate when the eigensolve is inconclusive
-(:func:`is_dynamically_stable`); its symmetric-channel structure
+(:func:`is_dynamically_stable`); its imaginary-gauge bound
+(``CouplingSet.gauge``, :func:`imaginary_gauge`), which on-site disorder
+draws inherit along with a stable verdict; its symmetric-channel structure
 (``CouplingSet.channels``, :func:`symmetric_channels`); and the
 coefficient table of its Bloch determinant (``CouplingSet.bloch_det``,
 :func:`bloch_det_coefficients`), which the winding scan evaluates.  Chains
@@ -158,6 +160,12 @@ class CouplingSet:
         """Whether every mode of this chain decays, decided once; see
         :func:`is_dynamically_stable`."""
         return _decide(real_form(self))
+
+    @cached_property
+    def gauge(self) -> Gauge:
+        """The imaginary-gauge bound on this chain's growth rates, searched
+        once; see :func:`imaginary_gauge`."""
+        return imaginary_gauge(self)
 
     @cached_property
     def channels(self) -> tuple[float, float, float] | None:
@@ -346,7 +354,11 @@ def apply_disorder(base: CouplingSet, realization: DisorderRealization) -> Coupl
     """Shift the on-site energies by one disorder draw.
 
     Only the diagonal of ``j_mat`` changes; the result is no longer
-    translationally invariant.
+    translationally invariant.  The draw adds ``diag(delta, -delta)`` to the
+    generator, which is Hermitian and commutes with the gauge, so the draw
+    has the base's ``gauge`` bit for bit (see :func:`imaginary_gauge`).  It
+    carries that gauge, and when the gauge is certified, the verdict
+    ``StabilityVerdict(True, "gauge")`` with no eigensolve of its own.
     """
     deltas = np.asarray(realization.deltas, dtype=float)
     if deltas.shape != (base.n,):
@@ -355,7 +367,12 @@ def apply_disorder(base: CouplingSet, realization: DisorderRealization) -> Coupl
         )
     j_mat = base.j_mat.copy()
     j_mat[np.arange(base.n), np.arange(base.n)] += deltas
-    return replace(base, j_mat=j_mat, cell_blocks=None)
+    draw = replace(base, j_mat=j_mat, cell_blocks=None)
+    # seed the draw's cached facts
+    vars(draw)["gauge"] = base.gauge
+    if base.gauge.certified:
+        vars(draw)["stability"] = StabilityVerdict(True, "gauge")
+    return draw
 
 
 def _rates(gamma, p):
@@ -498,7 +515,10 @@ class StabilityVerdict:
     ``route`` is ``"eigensolve"`` when the dense eigensolve showed decay,
     and ``"certificate"`` when the norm certificate of
     :func:`_certified_decay` gave the verdict; ``doublings`` counts the
-    certificate's squarings (0 on the eigensolve route).
+    certificate's squarings (0 on the other routes).  ``"gauge"`` marks a
+    disorder draw (:func:`apply_disorder`) of a chain whose imaginary gauge
+    is certified (:class:`Gauge`): every mode decays, proven once for all
+    on-site draws of that chain, with no eigensolve of the draw.
     """
 
     stable: bool
@@ -544,6 +564,106 @@ def _decide(a) -> StabilityVerdict:
     if rate < -STABILITY_TOL:
         return StabilityVerdict(True, "eigensolve")
     return _certified_decay(a)
+
+
+@dataclass(frozen=True)
+class Gauge:
+    """A bound on every growth rate of a chain in an imaginary gauge.
+
+    The gauge ``S = diag(r^i)`` scales both quadratures of site ``i``
+    (Hatano & Nelson, PRL 77, 570 (1996)).  ``alpha`` is the largest
+    eigenvalue of the symmetric part of ``S A S^-1`` for the real form ``A``
+    (:func:`real_form`): the numerical abscissa of a matrix similar to
+    ``A``, and so an upper bound on every mode's growth rate.  ``margin``
+    bounds the rounding in forming that matrix and in its eigensolve, so a
+    ``certified`` gauge proves that every mode decays.
+    """
+
+    r: float
+    alpha: float
+    margin: float
+
+    @property
+    def certified(self) -> bool:
+        return self.alpha + self.margin < 0
+
+
+_GAUGE_LOG_R = (-2.0, 2.0)
+_GAUGE_EVALUATIONS = 16
+_GOLDEN = (math.sqrt(5) - 1) / 2
+
+
+def imaginary_gauge(c: CouplingSet) -> Gauge:
+    """The gauge of least numerical abscissa over ``log r`` in
+    ``_GAUGE_LOG_R``, by a golden-section search of ``_GAUGE_EVALUATIONS``
+    abscissas.
+
+    With ``G = [r^(i-j)]``, ``sym(Y) = Y + Y^T`` and ``anti(Y) = Y - Y^T``,
+    the symmetric part of ``S A S^-1`` has the blocks ``sym(X11 o G)/2``,
+    ``sym(X22 o G)/2`` and ``(anti(Re J o G) - sym(Re K o G))/2`` off the
+    diagonal, where ``X11`` and ``X22`` are the diagonal blocks of ``A``.
+    ``G`` is formed entrywise and only where the chain couples, since
+    ``S`` itself underflows at large ``n``.  The on-site energies, the
+    diagonal of ``Re J``, enter only through ``anti``, whose diagonal is
+    exactly zero: an on-site disorder draw has the same abscissas bit for
+    bit.  Sites are interleaved, ``(x_0, p_0, x_1, p_1, ...)``, so each
+    abscissa is a banded eigensolve of bandwidth ``2R + 1`` for a coupling
+    range of ``R`` sites.
+    """
+    n = c.n
+    im_a1, im_k = (c.j_mat + _rates(c.gamma_mat, c.p_mat)).imag, c.k_mat.imag
+    parts = (im_a1 + im_k, im_a1 - im_k, c.j_mat.real, c.k_mat.real)
+    site = np.arange(n)
+    dist = site[:, None] - site[None, :]
+    support = np.logical_or.reduce([x != 0 for x in parts]) | (dist == 0)
+    support |= support.T
+    dist_on = dist[support]
+    width = 2 * int(np.abs(dist_on).max()) + 1
+    dim = 2 * n
+    band_col = np.arange(dim)
+    # lower band storage; the entries past the end are padding LAPACK skips
+    band_row = np.minimum(np.arange(width + 1)[:, None] + band_col, dim - 1)
+
+    def gauged(t):
+        g = np.zeros((n, n))
+        g[support] = np.exp(t * dist_on)
+        return [x * g for x in parts]
+
+    def abscissa(t):
+        x11, x22, re_j, re_k = gauged(t)
+        m = np.empty((n, 2, n, 2))
+        m[:, 0, :, 0] = x11 + x11.T
+        m[:, 1, :, 1] = x22 + x22.T
+        m[:, 0, :, 1] = (re_j - re_j.T) - (re_k + re_k.T)
+        m[:, 1, :, 0] = m[:, 0, :, 1].T
+        band = 0.5 * m.reshape(dim, dim)[band_row, band_col]
+        top = scipy.linalg.eigvals_banded(
+            band, lower=True, select="i", select_range=(dim - 1, dim - 1)
+        )
+        return float(top[0])
+
+    lo, hi = _GAUGE_LOG_R
+    a, b = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    fa, fb = abscissa(a), abscissa(b)
+    for _ in range(_GAUGE_EVALUATIONS - 2):
+        if fa <= fb:
+            hi, b, fb = b, a, fa
+            a = hi - _GOLDEN * (hi - lo)
+            fa = abscissa(a)
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + _GOLDEN * (hi - lo)
+            fb = abscissa(b)
+    t, alpha = (a, fa) if fa <= fb else (b, fb)
+    # Each entry is a sum of terms |x_ij| r^(i-j) rounded to a few ulps, and
+    # the banded eigensolve is backward stable; the Frobenius norm of those
+    # terms bounds both errors.  Re J's diagonal cancels without rounding, so
+    # it is left out, and every on-site draw gets the same margin.
+    x11, x22, re_j, re_k = gauged(t)
+    np.fill_diagonal(re_j, 0.0)
+    scale = sum(float(np.linalg.norm(x)) for x in (x11, x22, 2 * re_j, 2 * re_k))
+    margin = 16 * dim * float(np.finfo(float).eps) * scale
+    return Gauge(r=math.exp(t), alpha=alpha, margin=margin)
 
 
 def is_dynamically_stable(h: DynamicalMatrix) -> bool:

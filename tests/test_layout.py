@@ -1,6 +1,9 @@
 """Structural rules of the package source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "topocorr"
@@ -42,3 +45,14 @@ def test_traced_names_are_module_level_functions():
                    if isinstance(node, ast.FunctionDef)}
         missing += [f"{module}.{name}" for name in names if name not in defined]
     assert targets and not missing, "\n".join(missing)
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # importing scipy.optimize adds about 0.2 s to every CLI start-up
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, topocorr.cli; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"

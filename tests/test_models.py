@@ -259,6 +259,9 @@ class TestStabilityVerdict:
     def test_matches_complex_gate(self, name):
         c = VERDICT_BATTERY[name]()
         stable, route, doublings = oracle_stability(tc.dynamical_matrix(c).h)
+        if name.startswith("disordered"):
+            # draws of the certified gamma=5 chain inherit its gauge verdict
+            route, doublings = "gauge", 0
         assert c.stability == tc.StabilityVerdict(stable, route, doublings)
         assert tc.is_dynamically_stable(tc.dynamical_matrix(c)) is stable
 
@@ -291,9 +294,10 @@ class TestStabilityVerdict:
             assert tc.is_dynamically_stable(tc.dynamical_matrix(c))
             tc.assert_stable(c)
         assert "stability" in vars(c) and len(calls) == 1
-        # a disorder draw is a new chain with a verdict of its own
-        tc.apply_disorder(c, tc.gaussian_disorder(10, 0.5, 1)).stability
-        assert len(calls) == 2
+        # a disorder draw of a gauge-certified chain inherits its verdict
+        draw = tc.apply_disorder(c, tc.gaussian_disorder(10, 0.5, 1))
+        assert draw.stability == tc.StabilityVerdict(True, "gauge")
+        assert len(calls) == 1
 
     def test_correlations_command_runs_the_eigensolve_once(self, tmp_path, monkeypatch):
         gates, decisions = [], []
@@ -309,6 +313,48 @@ class TestStabilityVerdict:
         }))
         assert cli.main(["correlations", "--config", str(cfgfile)]) == cli.EXIT_OK
         assert len(gates) == 1 and len(decisions) == 1
+
+
+def _fresh(c):
+    """The chain rebuilt from its matrices, with no cached facts."""
+    return tc.CouplingSet(c.j_mat, c.k_mat, c.gamma_mat, c.p_mat, unit_cell=c.unit_cell)
+
+
+class TestImaginaryGauge:
+    @given(st.one_of(
+        st.builds(lambda n, g: tc.build_model_i(tc.ModelIParams(n_sites=n, gamma=g)),
+                  st.integers(10, 60), st.floats(4.6, 8.0)),
+        st.just(tc.adiabatic_eliminate(tc.ModelIIParams(n_cells=30, gamma=3.0))),
+    ), st.floats(0.0, 30.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_draws_share_the_certified_gauge(self, base, w, seed):
+        assert base.gauge.certified
+        draw = tc.apply_disorder(base, tc.gaussian_disorder(base.n, w, seed))
+        assert _fresh(draw).gauge == base.gauge
+        assert draw.stability == tc.StabilityVerdict(True, "gauge")
+        assert models._decide(tc.real_form(draw)).stable
+
+    @pytest.mark.parametrize("build", [
+        _model_i(100, 4.0), _model_ii_full(3.0),
+    ], ids=["model_i-n100-g4.0", "model_ii_full-g3.0"])
+    def test_uncertified_draws_keep_the_gate(self, build):
+        base = build()
+        assert not base.gauge.certified
+        for w in (0.5, 3.0):
+            draw = tc.apply_disorder(base, tc.gaussian_disorder(base.n, w, 7))
+            assert _fresh(draw).gauge == base.gauge
+            assert draw.stability.route in ("eigensolve", "certificate")
+            assert draw.stability == models._decide(tc.real_form(draw))
+
+    @pytest.mark.parametrize("name", ["model_i-n20-g5.0", "model_i-n100-g4.6",
+                                      "model_ii_effective-g3.0"])
+    def test_abscissa_is_the_dense_one(self, name):
+        c = VERDICT_BATTERY[name]()
+        n, g = c.n, c.gauge
+        site = np.tile(np.arange(n), 2)
+        b = tc.real_form(c) * g.r ** (site[:, None] - site[None, :]).astype(float)
+        dense = np.linalg.eigvalsh(0.5 * (b + b.T))[-1]
+        assert abs(g.alpha - dense) <= g.margin
 
 
 @st.composite
