@@ -17,12 +17,13 @@ import topocorr as tc
 from topocorr.topology import GapClosingError
 
 
-def scan_model_i(gammas, out_path):
+def scan(name, chain, gammas, out_path):
+    """Write the winding array of ``chain(gamma)`` at each dissipation value."""
     with open(out_path, "w", newline="\n") as fh:
         writer = csv.writer(fh)
         writer.writerow(["gamma", "nus", "closings", "stable"])
         for gamma in gammas:
-            c = tc.build_model_i(tc.ModelIParams(n_sites=2, gamma=float(gamma)))
+            c = chain(float(gamma))
             try:
                 arr = tc.winding_array(c)
             except (GapClosingError, ValueError) as exc:
@@ -32,28 +33,7 @@ def scan_model_i(gammas, out_path):
                 f"{gamma:.3f}", " ".join(map(str, arr.nus)),
                 " ".join(f"{x:.4f}" for x in arr.closings), arr.stable,
             ])
-            print(f"model_i gamma={gamma:.2f}: {arr.nus}")
-
-
-def scan_model_ii(gammas, out_path, g_c_prime=3.0, gamma_prime=30.0):
-    with open(out_path, "w", newline="\n") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["gamma", "nus", "closings", "stable"])
-        for gamma in gammas:
-            c = tc.adiabatic_eliminate(tc.ModelIIParams(
-                n_cells=2, gamma=float(gamma),
-                g_c_prime=g_c_prime, gamma_prime=gamma_prime,
-            ))
-            try:
-                arr = tc.winding_array(c)
-            except (GapClosingError, ValueError) as exc:
-                writer.writerow([f"{gamma:.3f}", "ERR", str(exc), ""])
-                continue
-            writer.writerow([
-                f"{gamma:.3f}", " ".join(map(str, arr.nus)),
-                " ".join(f"{x:.4f}" for x in arr.closings), arr.stable,
-            ])
-            print(f"model_ii gamma={gamma:.2f}: {arr.nus}")
+            print(f"{name} gamma={gamma:.2f}: {arr.nus}")
 
 
 def main():
@@ -66,8 +46,10 @@ def main():
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     gammas = np.linspace(args.gamma_min, args.gamma_max, args.steps)
-    scan_model_i(gammas, out / "model_i_arrays.csv")
-    scan_model_ii(gammas, out / "model_ii_effective_arrays.csv")
+    scan("model_i", lambda g: tc.build_model_i(tc.ModelIParams(n_sites=2, gamma=g)),
+         gammas, out / "model_i_arrays.csv")
+    scan("model_ii", lambda g: tc.adiabatic_eliminate(tc.ModelIIParams(n_cells=2, gamma=g)),
+         gammas, out / "model_ii_effective_arrays.csv")
     print(f"wrote {out}/model_i_arrays.csv and {out}/model_ii_effective_arrays.csv")
 
 

@@ -12,7 +12,7 @@ Config schema (YAML, all keys optional unless noted)::
     model: model_i            # model_i | model_ii_full | model_ii_effective
     boundary: obc             # obc | pbc
     seed: 1234
-    threads: 1                # default from TOPOCORR_THREADS, else 1
+    threads: 1                # positive integer; default TOPOCORR_THREADS, else 1
     params:
       n_sites: 50             # model_i site count / model_ii cell count
       j: 1.0
@@ -37,6 +37,9 @@ Config schema (YAML, all keys optional unless noted)::
     outputs: {dir: out}
     validate: {n_sites: 40}
 
+Each value must have the type of its default, so unknown keys, wrongly typed
+values and non-integral sizes and counts are configuration errors.
+
 Exit codes: 0 success, 2 configuration error, 3 dynamically unstable model,
 4 numerical failure.
 """
@@ -49,7 +52,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +112,35 @@ _DEFAULTS = {
     "validate": {"n_sites": 40},
 }
 
+# model -> (parameter dataclass, chain builder); the first dataclass field is
+# the size, which the config calls ``params.n_sites`` for every model
+_MODELS = {
+    "model_i": (ModelIParams, build_model_i),
+    "model_ii_full": (ModelIIParams, build_model_ii_full),
+    "model_ii_effective": (ModelIIParams, adiabatic_eliminate),
+}
+
+# string keys that take one of a fixed set of values
+_CHOICES = {
+    "model": tuple(_MODELS),
+    "boundary": ("obc", "pbc"),
+    "disorder.observable": ("lambda_n", "r"),
+}
+
+# flag -> (config path, argparse options); every flag but --config sets one key
+_FLAGS = {
+    "--model": ("model", {"choices": _CHOICES["model"]}),
+    "--gamma": ("params.gamma", {"type": float}),
+    "--omega-min": ("omega_grid.min", {"type": float}),
+    "--omega-max": ("omega_grid.max", {"type": float}),
+    "--omega-count": ("omega_grid.count", {"type": int}),
+    "--bc": ("boundary", {"choices": _CHOICES["boundary"]}),
+    "--n-sites": ("params.n_sites", {"type": int}),
+    "--seed": ("seed", {"type": int}),
+    "--out": ("outputs.dir", {"help": "output directory"}),
+    "--threads": ("threads", {"type": int}),
+}
+
 
 def _deep_merge(base: dict, override: dict) -> dict:
     out = dict(base)
@@ -120,11 +152,42 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _check_number(name: str, val) -> None:
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {val!r}")
-    if not math.isfinite(val):
-        raise ConfigError(f"{name} must be finite, got {val}")
+# the kind of value a key whose default is None takes when it is set;
+# correlations.reference_site is accepted and ignored
+_UNSET_DEFAULTS = {"threads": 1, "params.g_s": 1.0, "params.g_c": 1.0}
+# disorder.w_grid is a list of numbers or this mapping, which is also its default
+_W_GRID = {"min": 0.0, "max": 3.0, "count": 13}
+
+
+def _check_value(name: str, val, default) -> None:
+    """Check a config value against the type of its default, naming its dotted path."""
+    if isinstance(default, dict):
+        if not isinstance(val, dict):
+            raise ConfigError(f"{name} must be a mapping")
+        for key, sub in val.items():
+            path = f"{name}.{key}".lstrip(".")
+            if key not in default:
+                raise ConfigError(f"{path} is not a config key")
+            _check_value(path, sub, default[key])
+    elif name in _CHOICES:
+        if val not in _CHOICES[name]:
+            raise ConfigError(f"{name} must be one of {', '.join(_CHOICES[name])}, "
+                              f"got {val!r}")
+    elif default is None:
+        if val is not None and name in _UNSET_DEFAULTS:
+            _check_value(name, val, _UNSET_DEFAULTS[name])
+    elif isinstance(default, bool):
+        if not isinstance(val, bool):
+            raise ConfigError(f"{name} must be true or false, got {val!r}")
+    elif isinstance(default, (int, float)):
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            raise ConfigError(f"{name} must be a number, got {val!r}")
+        if not math.isfinite(val):
+            raise ConfigError(f"{name} must be finite, got {val}")
+        if isinstance(default, int) and not isinstance(val, int):
+            raise ConfigError(f"{name} must be an integer, got {val!r}")
+    elif not isinstance(val, str):
+        raise ConfigError(f"{name} must be a string, got {val!r}")
 
 
 @dataclass
@@ -152,55 +215,28 @@ class RunConfig:
         return cfg
 
     def validate(self) -> None:
-        if self.data["model"] not in ("model_i", "model_ii_full", "model_ii_effective"):
-            raise ConfigError(f"unknown model {self.data['model']!r}")
-        if self.data["boundary"] not in ("obc", "pbc"):
-            raise ConfigError(f"unknown boundary {self.data['boundary']!r}")
-        for key, default in _DEFAULTS.items():
-            if isinstance(default, dict) and not isinstance(self.data[key], dict):
-                raise ConfigError(f"{key} must be a mapping")
-        og = self.data["omega_grid"]
-        for section in ("params", "omega_grid", "winding", "quadrature"):
-            for key, val in self.data[section].items():
-                if val is None and key in _DEFAULTS[section] and _DEFAULTS[section][key] is None:
-                    continue
-                _check_number(f"{section}.{key}", val)
-        _check_number("seed", self.data["seed"])
-        if self.data["threads"] is not None:
-            _check_number("threads", self.data["threads"])
-        _check_number("correlations.omega", self.data["correlations"]["omega"])
-        _check_number("validate.n_sites", self.data["validate"]["n_sites"])
-        dis = self.data["disorder"]
-        for key in ("n_r", "seed", "omega"):
-            _check_number(f"disorder.{key}", dis[key])
-        grid = dis["w_grid"]
+        """Check every value against ``_DEFAULTS``, then the rules beyond type."""
+        _check_value("", self.data, _DEFAULTS)
+        grid = self.data["disorder"]["w_grid"]
         if isinstance(grid, dict):
-            for key in ("min", "max", "count"):
-                if key not in grid:
-                    raise ConfigError("disorder.w_grid mapping needs min, max and count")
-                _check_number(f"disorder.w_grid.{key}", grid[key])
+            _check_value("disorder.w_grid", grid, _W_GRID)
+            if grid.keys() != _W_GRID.keys():
+                raise ConfigError("disorder.w_grid mapping needs min, max and count")
         elif isinstance(grid, list):
             for val in grid:
-                _check_number("disorder.w_grid", val)
+                _check_value("disorder.w_grid", val, 0.0)
         elif grid is not None:
             raise ConfigError(f"disorder.w_grid must be a list or a mapping, got {grid!r}")
+        if self.data["threads"] is not None and self.data["threads"] < 1:
+            raise ConfigError(f"threads must be positive, got {self.data['threads']}")
         if not self.data["winding"]["refine_tol"] > 0:
             raise ConfigError("winding.refine_tol must be positive, got "
                               f"{self.data['winding']['refine_tol']}")
+        og = self.data["omega_grid"]
         if og["count"] < 2:
             raise ConfigError("omega_grid.count must be >= 2")
         if not og["min"] < og["max"]:
             raise ConfigError("omega_grid.min must be below omega_grid.max")
-
-    def to_yaml(self) -> str:
-        return yaml.safe_dump(self.data, sort_keys=True)
-
-    @classmethod
-    def from_yaml(cls, text: str) -> "RunConfig":
-        cfg = cls(data=_deep_merge(json.loads(json.dumps(_DEFAULTS)),
-                                   yaml.safe_load(text) or {}))
-        cfg.validate()
-        return cfg
 
     @property
     def config_hash(self) -> str:
@@ -211,42 +247,26 @@ class RunConfig:
 
     @property
     def threads(self) -> int:
-        if self.data.get("threads"):
-            return int(self.data["threads"])
-        return int(os.environ.get("TOPOCORR_THREADS", "1"))
+        return self.data["threads"] or int(os.environ.get("TOPOCORR_THREADS", "1"))
 
     def coupling_set(self) -> CouplingSet:
+        """The chain of ``model``; params left unset take the dataclass defaults."""
+        params_cls, build = _MODELS[self.data["model"]]
+        size, *names = (f.name for f in fields(params_cls))
         p = self.data["params"]
-        model = self.data["model"]
-        if model == "model_i":
-            g_s = p["g_s"] if p["g_s"] is not None else 1.0
-            g_c = p["g_c"] if p["g_c"] is not None else 1.0
-            return build_model_i(ModelIParams(
-                n_sites=int(p["n_sites"]), j=p["j"], g_s=g_s, g_c=g_c,
-                delta=p["delta"], phi=p["phi"], gamma=p["gamma"],
-            ))
-        g_s = p["g_s"] if p["g_s"] is not None else 0.1
-        g_c = p["g_c"] if p["g_c"] is not None else 0.1
-        params = ModelIIParams(
-            n_cells=int(p["n_sites"]), j=p["j"], g_s=g_s, g_c=g_c,
-            g_c_prime=p["g_c_prime"], delta=p["delta"], phi=p["phi"],
-            gamma=p["gamma"], gamma_prime=p["gamma_prime"],
-        )
-        if model == "model_ii_full":
-            return build_model_ii_full(params)
-        return adiabatic_eliminate(params)
+        given = {k: v for k, v in p.items() if k in names and v is not None}
+        return build(params_cls(**{size: p["n_sites"]}, **given))
 
     def omega_values(self) -> np.ndarray:
         og = self.data["omega_grid"]
-        return np.linspace(og["min"], og["max"], int(og["count"]))
+        return np.linspace(og["min"], og["max"], og["count"])
 
     def w_values(self) -> np.ndarray:
-        d = self.data["disorder"]
-        grid = d.get("w_grid")
+        grid = self.data["disorder"]["w_grid"]
         if grid is None:
-            return np.linspace(0.0, 3.0, 13)
+            grid = _W_GRID
         if isinstance(grid, dict):
-            return np.linspace(grid["min"], grid["max"], int(grid["count"]))
+            return np.linspace(grid["min"], grid["max"], grid["count"])
         return np.asarray(grid, dtype=float)
 
 
@@ -264,7 +284,10 @@ class OutputWriter:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.dir = Path(cfg.data["outputs"]["dir"])
-        self.dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"outputs.dir cannot be created: {exc}") from exc
         self.written: list[Path] = []
 
     @property
@@ -318,7 +341,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     else:
         # Band structure is a property of the matrix family, not of a steady
         # state, so the stability gate does not apply under pbc.
-        n_k = int(cfg.data["winding"]["n_k"])
+        n_k = cfg.data["winding"]["n_k"]
         if n_k < 1:
             raise ValueError(f"n_k must be positive, got {n_k}")
         bloch = bloch_matrix(c, np.linspace(-np.pi, np.pi, n_k, endpoint=False))
@@ -343,15 +366,15 @@ def cmd_winding(cfg: RunConfig) -> int:
     arr = winding_array(
         c,
         omega_max=max(abs(og["min"]), abs(og["max"])),
-        n_omega=int(og["count"]),
+        n_omega=og["count"],
         refine_tol=wcfg["refine_tol"],
-        n_k=int(wcfg["n_k"]),
+        n_k=wcfg["n_k"],
     )
     out = OutputWriter(cfg)
     out.json("winding.json", {
         "closings": list(arr.closings), "nus": list(arr.nus), "stable": arr.stable,
     })
-    nu0 = winding_number(c, 0.0, int(wcfg["n_k"]))
+    nu0 = winding_number(c, 0.0, wcfg["n_k"])
     print(f"winding array: {arr.nus} closings at {[round(float(x), 6) for x in arr.closings]}"
           f" (nu(0) = {nu0})")
     for p in out.written:
@@ -385,7 +408,7 @@ def cmd_correlations(cfg: RunConfig) -> int:
         rows.append((w, lro_parameter(fcw.n_bar), lro_parameter(fcw.m_bar)))
     out.csv("lro_curve.csv", ["omega", "lambda_n", "lambda_m"], rows)
 
-    if ccfg.get("equal_time", True):
+    if ccfg["equal_time"]:
         et = equal_time(c, quad)
         out.csv("equal_time_nbar.csv", ["row", "col", "re", "im", "abs"],
                 matrix_rows(np.nan_to_num(et.n_bar)))
@@ -404,7 +427,7 @@ def cmd_disorder(cfg: RunConfig) -> int:
     c = cfg.coupling_set()
     dcfg = cfg.data["disorder"]
     sweep = disorder_sweep(
-        c, cfg.w_values(), n_r=int(dcfg["n_r"]), seed=int(dcfg["seed"]),
+        c, cfg.w_values(), n_r=dcfg["n_r"], seed=dcfg["seed"],
         observable=dcfg["observable"], omega=float(dcfg["omega"]),
         threads=cfg.threads,
     )
@@ -437,8 +460,8 @@ def cmd_disorder(cfg: RunConfig) -> int:
 
 def cmd_validate(cfg: RunConfig) -> int:
     """Run the invariant suite and print one pass/fail line per check."""
-    report = run_validation(n_sites=int(cfg.data["validate"]["n_sites"]),
-                            seed=int(cfg.data["seed"]))
+    report = run_validation(n_sites=cfg.data["validate"]["n_sites"],
+                            seed=cfg.data["seed"])
     for line in report.lines():
         print(line)
     print(f"{'OK' if report.all_passed else 'FAILED'} "
@@ -460,47 +483,19 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", default=None, help="YAML configuration file")
-        p.add_argument("--model", choices=["model_i", "model_ii_full", "model_ii_effective"])
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--omega-min", type=float, dest="omega_min")
-        p.add_argument("--omega-max", type=float, dest="omega_max")
-        p.add_argument("--omega-count", type=int, dest="omega_count")
-        p.add_argument("--bc", choices=["obc", "pbc"])
-        p.add_argument("--n-sites", type=int, dest="n_sites")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int)
+        for flag, (_, options) in _FLAGS.items():
+            p.add_argument(flag, **options)
     return parser
 
 
 def _overrides_from_args(args) -> dict:
     over: dict = {}
-    if args.model:
-        over["model"] = args.model
-    if args.bc:
-        over["boundary"] = args.bc
-    if args.seed is not None:
-        over["seed"] = args.seed
-    if args.threads is not None:
-        over["threads"] = args.threads
-    params = {}
-    if args.gamma is not None:
-        params["gamma"] = args.gamma
-    if args.n_sites is not None:
-        params["n_sites"] = args.n_sites
-    if params:
-        over["params"] = params
-    grid = {}
-    if args.omega_min is not None:
-        grid["min"] = args.omega_min
-    if args.omega_max is not None:
-        grid["max"] = args.omega_max
-    if args.omega_count is not None:
-        grid["count"] = args.omega_count
-    if grid:
-        over["omega_grid"] = grid
-    if args.out is not None:
-        over["outputs"] = {"dir": args.out}
+    for flag, (path, _) in _FLAGS.items():
+        val = getattr(args, flag[2:].replace("-", "_"))
+        if val is not None:
+            section, _, key = path.rpartition(".")
+            node = over.setdefault(section, {}) if section else over
+            node[key] = val
     return over
 
 

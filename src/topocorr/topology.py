@@ -240,15 +240,11 @@ def winding_array(
     )
 
 
-def deformation_gap_bound(
-    h1: DynamicalMatrix, h2: DynamicalMatrix, omega: float = 0.0
-) -> float:
+def deformation_gap_bound(h1: DynamicalMatrix, h2: DynamicalMatrix) -> float:
     """Spectral norm of the deformation, bounding each singular-value shift.
 
     Every singular value of ``w*I - H`` moves by at most this norm under
-    the deformation ``h1 -> h2``, at every frequency (``omega`` is accepted
-    for signature symmetry with the gap being compared; the bound itself is
-    frequency independent).
+    the deformation ``h1 -> h2``, at every frequency.
     """
     if h1.h.shape != h2.h.shape:
         raise ValueError("dynamical matrices must have equal dimensions")

@@ -12,6 +12,7 @@ from topocorr.cli import (
     EXIT_UNSTABLE,
     ConfigError,
     RunConfig,
+    _DEFAULTS,
     main,
 )
 
@@ -28,12 +29,6 @@ class TestRunConfig:
     def test_defaults_validate(self):
         cfg = RunConfig.load(None)
         assert cfg.data["model"] == "model_i"
-
-    def test_yaml_round_trip(self):
-        cfg = RunConfig.load(None, {"params": {"gamma": 2.5}, "seed": 9})
-        again = RunConfig.from_yaml(cfg.to_yaml())
-        assert again.data == cfg.data
-        assert again.config_hash == cfg.config_hash
 
     def test_file_overridden_by_flags(self, tmp_path):
         f = tmp_path / "cfg.yaml"
@@ -271,6 +266,80 @@ def test_non_numeric_config_values_are_config_errors(tmp_path, capsys, command, 
     assert run([command, "--config", str(cfgfile)]) == EXIT_CONFIG
     assert f"configuration error: {name}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def schema_leaves(defaults, prefix=""):
+    """Dotted path and default of every leaf of the config schema."""
+    for key, default in defaults.items():
+        if isinstance(default, dict):
+            yield from schema_leaves(default, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", default
+
+
+def assert_config_error(tmp_path, capsys, monkeypatch, name, settings, flags=()):
+    """``spectrum`` on a tiny chain with ``settings`` (dotted path -> value) set
+    exits 2 naming ``name`` on one line, and writes nothing."""
+    config = {"params": {"n_sites": 4, "gamma": 5.0}, "omega_grid": {"count": 3},
+              "outputs": {"dir": str(tmp_path / "out")}}
+    for path, value in settings.items():
+        *sections, key = path.split(".")
+        node = config
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = value
+    (tmp_path / "c.yaml").write_text(yaml.safe_dump(config))
+    before = sorted(tmp_path.iterdir())
+    monkeypatch.chdir(tmp_path)
+    assert run(["spectrum", "--config", str(tmp_path / "c.yaml"), *flags]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {name} ") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
+
+
+# every leaf but correlations.reference_site, which takes any value and is ignored
+CHECKED_LEAVES = [leaf for leaf in schema_leaves(_DEFAULTS)
+                  if leaf[0] != "correlations.reference_site"]
+
+
+@pytest.mark.parametrize("name,default", CHECKED_LEAVES,
+                         ids=[name for name, _ in CHECKED_LEAVES])
+def test_wrongly_typed_leaf_is_a_config_error(tmp_path, capsys, monkeypatch, name, default):
+    # a string where a number or bool belongs, a float where an integer does
+    wrong = {str: 5, int: 2.5}.get(type(default), "x")
+    assert_config_error(tmp_path, capsys, monkeypatch, name, {name: wrong})
+
+
+# inputs that used to run, truncated or reinterpreted, and the key each error names
+SILENTLY_ACCEPTED = [
+    ("parms", {"parms": {"gamma": 3.0}}),
+    ("params.gama", {"params.gama": 3.0}),
+    ("params.n_sites", {"params.n_sites": 6.9}),
+    ("omega_grid.count", {"omega_grid.count": 2.5}),
+    ("disorder.n_r", {"disorder.n_r": 2.5}),
+    ("disorder.w_grid.count", {"disorder.w_grid": {"min": 0.0, "max": 1.0, "count": 3.5}}),
+    ("disorder.w_grid.step", {"disorder.w_grid": {"min": 0.0, "max": 1.0, "count": 3,
+                                                  "step": 0.5}}),
+    ("correlations.equal_time", {"correlations.equal_time": "no"}),
+    ("threads", {"threads": 0}),
+]
+
+
+@pytest.mark.parametrize("name,settings", SILENTLY_ACCEPTED,
+                         ids=[name for name, _ in SILENTLY_ACCEPTED])
+def test_silently_accepted_inputs_are_config_errors(tmp_path, capsys, monkeypatch, name,
+                                                    settings):
+    assert_config_error(tmp_path, capsys, monkeypatch, name, settings)
+
+
+@pytest.mark.parametrize("bad", ["number", "under-a-file"])
+def test_unusable_output_dir_is_a_config_error(tmp_path, capsys, monkeypatch, bad):
+    if bad == "number":
+        assert_config_error(tmp_path, capsys, monkeypatch, "outputs.dir", {"outputs.dir": 5})
+    else:
+        (tmp_path / "afile").write_text("")
+        assert_config_error(tmp_path, capsys, monkeypatch, "outputs.dir", {},
+                            flags=["--out", str(tmp_path / "afile" / "sub")])
 
 
 def test_config_error_exit_code(tmp_path):
