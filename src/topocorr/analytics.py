@@ -44,17 +44,8 @@ def lambda_plus(omega: float, gamma: float) -> float:
     return -0.5 * math.log(((gamma - 2.0) ** 2 + 4.0 * omega**2) / 16.0)
 
 
-def lambda_minus(omega: float, gamma: float) -> float:
-    """Inverse localization length of the left-localized channel."""
-    return 0.5 * math.log(((gamma + 2.0) ** 2 + 4.0 * omega**2) / 16.0)
-
-
 def k_plus(omega: float, gamma: float) -> float:
     return math.atan2(2.0 * omega, gamma - 2.0)
-
-
-def k_minus(omega: float, gamma: float) -> float:
-    return -math.atan2(2.0 * omega, gamma + 2.0)
 
 
 def phase_region(omega: float, gamma: float) -> PhaseRegion:
@@ -79,9 +70,7 @@ class EdgeSolution:
     """Closed-form edge singular vectors at one (omega, gamma, n)."""
 
     lambda_plus: float
-    lambda_minus: float
     k_plus: float
-    k_minus: float
     amplitude_a: float
     phi_u: float
     n: int
@@ -133,9 +122,7 @@ def edge_solution(omega: float, gamma: float, n: int) -> EdgeSolution:
     amp = math.sqrt(math.expm1(2 * lam) * _exp_ratio(2 * lam * n) / 2.0)
     return EdgeSolution(
         lambda_plus=lam,
-        lambda_minus=lambda_minus(omega, gamma),
         k_plus=k,
-        k_minus=k_minus(omega, gamma),
         amplitude_a=amp,
         phi_u=math.pi / 2 - k,
         n=n,

@@ -12,7 +12,8 @@ Config schema (YAML, all keys optional unless noted)::
     model: model_i            # model_i | model_ii_full | model_ii_effective
     boundary: obc             # obc | pbc
     seed: 1234
-    threads: 1                # positive integer; default TOPOCORR_THREADS, else 1
+    threads: 1                # disorder-sweep worker threads, a positive integer;
+                              # default TOPOCORR_THREADS (same rule), else 1
     params:
       n_sites: 50             # model_i site count / model_ii cell count
       j: 1.0
@@ -229,6 +230,9 @@ class RunConfig:
             raise ConfigError(f"disorder.w_grid must be a list or a mapping, got {grid!r}")
         if self.data["threads"] is not None and self.data["threads"] < 1:
             raise ConfigError(f"threads must be positive, got {self.data['threads']}")
+        env = os.environ.get("TOPOCORR_THREADS", "1")
+        if self.data["threads"] is None and not (env.strip().isdecimal() and int(env) > 0):
+            raise ConfigError(f"TOPOCORR_THREADS must be a positive integer, got {env!r}")
         if not self.data["winding"]["refine_tol"] > 0:
             raise ConfigError("winding.refine_tol must be positive, got "
                               f"{self.data['winding']['refine_tol']}")

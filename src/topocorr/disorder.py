@@ -18,12 +18,12 @@ from .models import (
     CouplingSet,
     ModelIParams,
     apply_disorder,
+    assert_stable,
     dynamical_matrix,
     gaussian_disorder,
-    is_dynamically_stable,
 )
 from .greensvd import GreenFunction, r_parameter, svd_at
-from .correlations import correlation_blocks, normalized_forms, lro_parameter
+from .correlations import freq_correlations, lro_parameter
 
 _MASK64 = (1 << 64) - 1
 
@@ -68,15 +68,12 @@ _OBSERVABLES = ("lambda_n", "r")
 
 
 def _evaluate_observable(coupling: CouplingSet, observable: str, omega: float):
-    h = dynamical_matrix(coupling)
-    if not is_dynamically_stable(h):
+    if not coupling.stability.stable:
         return None
-    t = svd_at(h, omega)
+    t = svd_at(dynamical_matrix(coupling), omega)
     if observable == "r":
         return r_parameter(t)
-    n_mat, _ = correlation_blocks(t, coupling)
-    n_bar, _, _ = normalized_forms(n_mat, n_mat)
-    return lro_parameter(n_bar)
+    return lro_parameter(freq_correlations(t, coupling).n_bar)
 
 
 def disorder_sweep(
@@ -105,10 +102,11 @@ def disorder_sweep(
         ``"lambda_n"`` (mean absolute normalized correlation at ``omega``)
         or ``"r"`` (singular-value spacing ratio at ``omega``).
     threads:
-        Worker threads, one pool for the whole sweep; results are identical
-        for any thread count.
+        Worker threads, at least 1, of the one pool that runs the whole
+        sweep at any count; results are identical for any thread count.
 
-    Unstable realizations are skipped and counted in ``n_unstable``; the
+    An unstable base raises :class:`UnstableSystemError`.  Unstable
+    realizations are skipped and counted in ``n_unstable``; the
     ``disorder`` CLI command prints a warning when more than 10% drop out at
     some strength.  The base's imaginary gauge (``CouplingSet.gauge``) is
     searched before the workers start: when it is certified, every draw
@@ -118,8 +116,9 @@ def disorder_sweep(
         raise ValueError(f"observable must be one of {_OBSERVABLES}")
     if n_r < 1:
         raise ValueError("n_r must be at least 1")
-    if not is_dynamically_stable(dynamical_matrix(base)):
-        raise ValueError("base chain is unstable at zero disorder")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    assert_stable(base, "disorder_sweep")
     base.gauge  # searched once, before the workers read it
     w_grid = np.asarray(w_grid, dtype=float)
 
@@ -129,11 +128,8 @@ def disorder_sweep(
         return _evaluate_observable(apply_disorder(base, real), observable, omega)
 
     jobs = [(i_w, r) for i_w in range(w_grid.size) for r in range(n_r)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(one, jobs))
-    else:
-        vals = [one(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        vals = list(pool.map(one, jobs))
     means = np.empty(w_grid.size)
     stderrs = np.empty(w_grid.size)
     n_unstable = np.zeros(w_grid.size, dtype=np.int64)
@@ -153,20 +149,22 @@ def disorder_sweep(
     )
 
 
-def critical_disorder(sweep: DisorderSweepResult, smooth_window: int = 3) -> float:
+_SMOOTH_WINDOW = 3
+
+
+def critical_disorder(sweep: DisorderSweepResult) -> float:
     """Disorder strength of steepest descent of the sweep observable.
 
-    Moving-average smoothing, central-difference slope, then parabolic
-    refinement of the grid maximum of ``|slope|``.
+    Moving-average smoothing over ``_SMOOTH_WINDOW`` grid points,
+    central-difference slope, then parabolic refinement of the grid maximum
+    of ``|slope|``.
     """
     w, y = sweep.w_grid, sweep.means
     if w.size < 7:
         raise ValueError("need at least 7 grid points to locate the transition")
-    if smooth_window > 1:
-        kernel = np.ones(smooth_window) / smooth_window
-        y = np.convolve(y, kernel, mode="valid")
-        half = (smooth_window - 1) // 2
-        w = w[half: half + y.size]
+    y = np.convolve(y, np.ones(_SMOOTH_WINDOW) / _SMOOTH_WINDOW, mode="valid")
+    half = (_SMOOTH_WINDOW - 1) // 2
+    w = w[half: half + y.size]
     noise_floor = max(3.0 * float(np.nanmax(sweep.stderrs)), 1e-12)
     if float(np.nanmax(y) - np.nanmin(y)) < noise_floor:
         raise ValueError("sweep is flat; no slope maximum above the noise floor")

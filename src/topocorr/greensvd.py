@@ -305,12 +305,9 @@ def resolvent(h: DynamicalMatrix, omegas) -> NDArray[np.complex128]:
     channels = h.source.channels
     if channels is not None:
         return _channel_resolvent(omegas, channels, h.n)
-    eye = np.eye(2 * h.n)
-    shifted = omegas[:, None, None] * eye - h.h
+    shifted = omegas[:, None, None] * np.eye(2 * h.n) - h.h
     try:
-        # a full stack of right-hand sides: numpy < 2 reads a 2-D ``b`` as a
-        # stack of vectors
-        return np.linalg.solve(shifted, np.broadcast_to(eye, shifted.shape))
+        return np.linalg.inv(shifted)
     except np.linalg.LinAlgError as exc:
         raise ResonanceError(
             f"omega in [{omegas.min()}, {omegas.max()}] is resonant: "

@@ -205,6 +205,10 @@ class TestDisorderCommand:
         assert fit["observable"] == "r"
         assert fit["w_c"] is None  # too few points for a slope estimate
 
+    def test_unstable_base_exit_code(self, tmp_path):
+        rc = run(["disorder", "--gamma", "1", "--n-sites", "8", "--out", str(tmp_path)])
+        assert rc == EXIT_UNSTABLE
+
 
 class TestValidateCommand:
     def test_passes(self, tmp_path, capsys):
@@ -340,6 +344,22 @@ def test_unusable_output_dir_is_a_config_error(tmp_path, capsys, monkeypatch, ba
         (tmp_path / "afile").write_text("")
         assert_config_error(tmp_path, capsys, monkeypatch, "outputs.dir", {},
                             flags=["--out", str(tmp_path / "afile" / "sub")])
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "abc"])
+def test_bad_thread_variable_is_a_config_error(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("TOPOCORR_THREADS", value)
+    assert_config_error(tmp_path, capsys, monkeypatch, "TOPOCORR_THREADS", {})
+
+
+def test_thread_variable_sets_the_pool(tmp_path, monkeypatch):
+    monkeypatch.setenv("TOPOCORR_THREADS", "2")
+    assert RunConfig.load(None).threads == 2
+    cfgfile = tmp_path / "c.yaml"
+    cfgfile.write_text(yaml.safe_dump({"disorder": {"w_grid": [0.0, 1.0], "n_r": 3}}))
+    rc = run(["disorder", "--config", str(cfgfile), "--gamma", "5", "--n-sites", "8",
+              "--out", str(tmp_path / "out")])
+    assert rc == EXIT_OK
 
 
 def test_config_error_exit_code(tmp_path):

@@ -53,8 +53,12 @@ class TestDisorderSweep:
 
     def test_unstable_base_rejected(self):
         bad = tc.build_model_i(tc.ModelIParams(n_sites=10, gamma=1.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(tc.UnstableSystemError):
             tc.disorder_sweep(bad, [0.1], n_r=2, seed=1)
+
+    def test_no_worker_threads_rejected(self):
+        with pytest.raises(ValueError, match="threads"):
+            tc.disorder_sweep(self.base(), [0.1], n_r=2, seed=1, threads=0)
 
     def test_clean_r_high_across_scaling_gammas(self):
         for gamma in (4.6, 5.0, 5.4):
