@@ -16,10 +16,11 @@ semi-infinite ansatz.
 The smallest singular value itself is also available exactly at finite
 ``n``: the ``eta = +1`` channel is a bidiagonal Toeplitz matrix ``B`` with
 diagonal ``a = 2 exp(-lambda)`` and subdiagonal ``b = 2``, and ``B^T B`` is
-tridiagonal Toeplitz with one perturbed corner.  Its lowest eigenvalue is
-the root of a scalar secular equation (Yueh, Appl. Math. E-Notes 5, 66
+tridiagonal Toeplitz with one perturbed corner.  Its eigenvalues are the
+roots of a scalar secular equation (Yueh, Appl. Math. E-Notes 5, 66
 (2005); Kulkarni, Schmidt & Tsui, Linear Algebra Appl. 297, 63 (1999)),
-solved here by safeguarded Newton iteration.
+solved here by safeguarded Newton iteration, elementwise over arrays
+(:func:`secular_angles`, :func:`edge_exponent`).
 """
 
 from __future__ import annotations
@@ -131,36 +132,118 @@ def edge_solution(omega: float, gamma: float, n: int) -> EdgeSolution:
     )
 
 
-def _monotone_root(f, df, x_lo: float, x_hi: float) -> float:
-    """Root of a monotone ``f`` that changes sign on ``(x_lo, x_hi]``.
+_NEWTON_TOL = 1e-9
 
-    Newton steps start at ``x_hi``.  For the secular functions below,
-    ``f`` is convex or concave such that the iterates approach the root
-    from ``x_hi``'s side and ``|f|`` falls at every step; iteration stops
-    when it no longer falls, i.e. at the rounding noise of ``f``.  A step
-    that leaves the bracket is replaced by bisection.
+
+def _increasing_root(fun, lo, hi, x, active):
+    """Roots of increasing functions in ``[lo, hi]``, elementwise.
+
+    ``fun(x)`` returns the values and slopes.  Each active element takes
+    Newton steps from ``x``; a step that leaves the bracket is replaced by
+    bisection, and one that lands on a bracket end is kept.  An element
+    stops after a Newton step shorter than ``_NEWTON_TOL`` of its position
+    (Newton's quadratic convergence leaves an error below rounding once
+    that step is taken), when ``f`` is zero, or when a Newton step no
+    longer lowers ``|f|`` (its rounding noise).  Each element's iterates
+    depend on nothing else in the batch.  Inactive elements return ``x``.
     """
-    x = x_hi
-    fx = f(x)
-    positive_hi = fx > 0.0
+    shape = active.shape
+    # at least 1-d, so that arithmetic keeps returning arrays
+    active = np.atleast_1d(active)
+    lo, hi, x = (np.array(np.broadcast_to(y, active.shape), dtype=float) for y in (lo, hi, x))
+    size = np.full(x.shape, np.inf)
+    newton = np.zeros(x.shape, dtype=bool)
     for _ in range(200):
-        if fx == 0.0:
-            return x
-        x_new = x - fx / df(x)
-        if x_new == x:
-            return x
-        newton = x_lo < x_new < x_hi
-        if not newton:
-            x_new = 0.5 * (x_lo + x_hi)
-        f_new = f(x_new)
-        if newton and abs(f_new) >= abs(fx):
-            return x
-        if (f_new > 0.0) == positive_hi:
-            x_hi = x_new
-        else:
-            x_lo = x_new
-        x, fx = x_new, f_new
-    return x
+        if not active.any():
+            break
+        f, df = fun(x)
+        last, size = size, np.abs(f)
+        active &= (size < last) | ~newton
+        below = f < 0
+        lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+        new = x - np.divide(f, df, out=np.full(x.shape, np.inf), where=df != 0)
+        newton = (lo <= new) & (new <= hi)
+        new = np.where(newton, new, 0.5 * (lo + hi))
+        step = np.abs(new - x)
+        x = np.where(active, new, x)
+        active &= (step > _NEWTON_TOL * x) | ~newton
+    return x.reshape(shape)
+
+
+def secular_angles(ratio, j, n: int):
+    """Angles ``theta_j`` of the in-band singular values of an ``n x n``
+    bidiagonal Toeplitz matrix with diagonal ``a`` and off-diagonal ``b``,
+    ``ratio = a/b``; ``ratio`` and the mode ``j`` (1..n) broadcast.
+
+    The singular values are ``sigma_j^2 = (a - b)^2 + 4ab sin^2(theta_j/2)``,
+    where ``theta_j`` solves ``ratio sin((n+1) theta) = sin(n theta)``; the
+    ``j``-th root is the one in ``[(j-1) pi/n, j pi/(n+1)]``.  It is solved
+    in the equivalent form ``(n+1) theta - atan2(sin theta, cos theta -
+    ratio) = (j - 1) pi``, whose left side rises with slope near ``n + 1``
+    and, for mode 1, subtracts no multiple of pi from a small angle.  Mode
+    1 has no root in its bracket when ``ratio <= n/(n+1)`` (its value is
+    then :func:`edge_exponent`'s); those elements return 0.
+    """
+    ratio, j = np.broadcast_arrays(np.asarray(ratio, dtype=float), np.asarray(j))
+    lack = 1.0 - ratio
+    offset = (j - 1) * np.pi
+
+    def fun(x):
+        half = np.sin(0.5 * x)
+        fall = 2.0 * half * half  # 1 - cos(x)
+        cross = lack - fall  # cos(x) - ratio, without cancellation
+        sin_x = np.sin(x)
+        square = sin_x * sin_x
+        slope = (cross * (1.0 - fall) + square) / (cross * cross + square)
+        return (n + 1) * x - np.arctan2(sin_x, cross) - offset, (n + 1) - slope
+
+    hi = j * np.pi / (n + 1)
+    active = (j > 1) | (ratio > n / (n + 1))
+    # one fixed-point step down from the top of the bracket
+    start = (offset + np.arctan2(np.sin(hi), lack - 2.0 * np.sin(0.5 * hi) ** 2)) / (n + 1)
+    # Just inside the band, mode 1's left side is theta ((n+1) - 1/d) +
+    # theta^3 (1 - d)(2 - d)/(6 d^3) + ... with d = 1 - ratio, and Newton from
+    # the top would only shrink theta by a third per step; where that cubic's
+    # root is below d, where the expansion holds, start there instead
+    cubic = lack * np.sqrt(np.maximum(6.0 * (1.0 - (n + 1) * lack), 0.0)
+                           / ((1.0 - lack) * (2.0 - lack)))
+    start = np.where((j == 1) & (0 < cubic) & (cubic < lack), cubic, start)
+    return _increasing_root(fun, offset / n, hi, np.where(active, start, 0.0), active)
+
+
+def edge_exponent(lam, n: int):
+    """The ``mu > 0`` with ``exp(-lam) sinh((n+1) mu) = sinh(n mu)``,
+    elementwise in ``lam``.
+
+    For a bidiagonal Toeplitz matrix with diagonal ``a`` and off-diagonal
+    ``b``, ``lam = log(b/a)``, the smallest singular value lies below the
+    band when ``lam > log(1 + 1/n)``; it is ``b sinh(mu)/sinh((n+1) mu)``
+    and the root lies in ``(0, lam]``.  Elements with ``lam <= log(1 +
+    1/n)`` return 0.
+    """
+    lam = np.asarray(lam, dtype=float)
+
+    def fun(mu):
+        # log(sinh((n+1) mu)/sinh(n mu)) - lam, increasing in mu; the ratio's
+        # excess over exp(mu) is formed without cancellation, so near the
+        # band (small mu) the error stays of the order of eps * lam
+        short, step = np.expm1(-2 * n * mu), np.expm1(-2 * mu)
+        excess = np.exp(-2 * n * mu) * step / short
+        rate = -2 * n + 2 * (1 + step) / -step + 2 * n * (1 + short) / short
+        return mu - lam + np.log1p(excess), 1.0 + excess / (1.0 + excess) * rate
+
+    beyond = lam - math.log1p(1.0 / n)
+    active = beyond > 0
+    # Near the band (n mu < 1) the left side is about mu^2 (2n + 1)/6 -
+    # beyond, and Newton from mu = lam would only halve mu per step; that
+    # parabola's root starts closer.  Inactive elements idle at mu = 1, clear
+    # of the pole at 0, as does the bracket's lower end at the smallest
+    # normal double.
+    parabola = np.sqrt(6.0 * np.maximum(beyond, 0.0) / (2 * n + 1))
+    start = np.where(n * parabola < 1.0, parabola, lam)
+    root = _increasing_root(fun, np.finfo(float).tiny, np.where(active, lam, 1.0),
+                            np.where(active, start, 1.0), active.copy())
+    return np.where(active, root, 0.0)
 
 
 def _log_one_minus_exp(x: float) -> float:
@@ -184,47 +267,29 @@ def zero_singular_value(omega: float, gamma: float, n: int) -> tuple[float, floa
     * ``b sinh(mu) / sinh((n+1) mu)``, where ``mu > 0`` solves
       ``exp(-lambda) sinh((n+1) mu) = sinh(n mu)``, when
       ``exp(-lambda) < n/(n+1)`` (below the band of ``B^T B``);
-    * ``b sin(theta) / sin((n+1) theta)``, where ``theta`` in
-      ``(0, pi/(2n+1)]`` solves ``exp(-lambda) sin((n+1) theta) =
+    * ``sqrt((a - b)^2 + 4ab sin^2(theta/2))``, where ``theta`` in
+      ``(0, pi/(n+1)]`` solves ``exp(-lambda) sin((n+1) theta) =
       sin(n theta)``, otherwise (inside the band).
 
-    Both forms meet at ``b/(n+1)``, and the ``eta = -1`` channel's values
+    The roots come from :func:`edge_exponent` and :func:`secular_angles`,
+    which the channel SVD of :mod:`topocorr.greensvd` also solves.  Both
+    forms meet at ``b/(n+1)``, and the ``eta = -1`` channel's values
     lie above them throughout the single-edge region.  ``asymptotic`` is
     the thermodynamic limit ``2 (1 - exp(-2 lambda)) exp(-lambda n)``.
     """
     _require_single_edge(omega, gamma)
     lam = lambda_plus(omega, gamma)
     b = 2.0
-    lead = lam - math.log1p(1.0 / n)  # the secular function at mu -> 0
-    if lead > 0.0:
-        def secular(mu):
-            # log(sinh(n mu) / sinh((n+1) mu)) + lambda, decreasing in mu
-            return (lam - mu + _log_one_minus_exp(2 * n * mu)
-                    - _log_one_minus_exp(2 * (n + 1) * mu))
-
-        def slope(mu):
-            return (-1.0 + 2 * n * _exp_ratio(2 * n * mu)
-                    - 2 * (n + 1) * _exp_ratio(2 * (n + 1) * mu))
-
-        # secular(lam) <= 0, so the root lies in (0, lam]
-        mu = _monotone_root(secular, slope, 0.0, lam)
+    if lam > math.log1p(1.0 / n):
+        mu = float(edge_exponent(lam, n))
         finite = b * math.exp(-n * mu) * math.expm1(-2 * mu) / math.expm1(
             -2 * (n + 1) * mu
         )
-    elif lead < 0.0:
-        def secular(theta):
-            # log(sin(n theta) / sin((n+1) theta)) + lambda, increasing
-            return (math.log(math.sin(n * theta))
-                    - math.log(math.sin((n + 1) * theta)) + lam)
-
-        def slope(theta):
-            return n / math.tan(n * theta) - (n + 1) / math.tan((n + 1) * theta)
-
-        # secular(pi/(2n+1)) = lambda > 0, so the root lies below it
-        theta = _monotone_root(secular, slope, 0.0, math.pi / (2 * n + 1))
-        finite = b * math.sin(theta) / math.sin((n + 1) * theta)
     else:
-        finite = b / (n + 1)
+        # (a - b)^2 + 4ab sin^2(theta/2) over b^2, with 1 - a/b = -expm1(-lambda)
+        ratio = math.exp(-lam)
+        half = math.sin(0.5 * float(secular_angles(ratio, 1, n)))
+        finite = b * math.sqrt(math.expm1(-lam) ** 2 + 4.0 * ratio * half * half)
     asymptotic = 2.0 * (1.0 - math.exp(-2 * lam)) * math.exp(-lam * n)
     return finite, asymptotic
 

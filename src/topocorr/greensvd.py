@@ -13,10 +13,13 @@ matrix splits into two bidiagonal channels,
 ``w*I - H = T diag(B+, B-) T^dagger`` with
 ``T = [[I, I], [iI, -iI]]/sqrt(2)``.  The chain records this once
 (``CouplingSet.channels``), and both ``factorize`` and ``resolvent`` then
-route through phase-rescaled real bidiagonal SVDs of the channels, batched
-over frequencies, which resolve the exponentially small topological
-singular value to full relative accuracy; the generic dense SVD only bounds
-its error in units of ``eps * s_max``.  A channel value too small for that
+route through phase-rescaled real bidiagonal Toeplitz SVDs of the channels.
+Those have a closed form, the roots of one secular equation (Yueh, Appl.
+Math. E-Notes 5, 66 (2005)), solved for every mode of every frequency of a
+batch at once; it resolves the exponentially small topological singular
+value to full relative accuracy, where the generic dense SVD only bounds
+its error in units of ``eps * s_max``.  Values below ``1e-12 s_max`` still
+take their triple from the explicit inverse, and one too small for that
 refinement to represent raises :class:`ResonanceError`.  Other chains take
 the refined dense SVD in ``factorize`` and a batched LU solve in
 ``resolvent``.
@@ -24,13 +27,13 @@ the refined dense SVD in ``factorize`` and a batched LU solve in
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
+from .analytics import edge_exponent, secular_angles
 from .models import CouplingSet, DynamicalMatrix
 
 RESONANCE_TOL = 1e-14
@@ -100,49 +103,87 @@ class GreenFunction:
         return self.g_full[self.n:, self.n:]
 
 
-@functools.cache
-def _gesvd_lwork(n):
-    """Optimal ``dgesvd`` workspace for an ``n x n`` matrix, queried once per n."""
-    work, _ = scipy.linalg.lapack.dgesvd_lwork(n, n)
-    return int(work)
+def _toeplitz_svd(a, b, n):
+    """Closed-form SVDs of real lower bidiagonal Toeplitz matrices with
+    diagonals ``a > 0`` (a 1-D array) and off-diagonal ``b >= eps * a``.
 
-
-def _bidiagonal_svd(n, diags, offdiag, lower):
-    """SVDs of bidiagonal Toeplitz matrices, one per entry of ``diags``, via
-    their real phase-equivalent forms.
-
-    Factoring out site-dependent phases leaves a nonnegative real bidiagonal
-    matrix.  The QR-iteration driver (gesvd) computes bidiagonal singular
-    values to high relative accuracy, which the divide-and-conquer default
-    does not; the exponentially small topological value needs the former.
-    A smallest value below the reach of :func:`_smallest_triple_via_inverse`
-    is numerically zero and raises :class:`ResonanceError`.  Returns the
-    stacked ``(u, s, v)``, values ascending along the last axis of ``s``.
+    With ``ratio = a/b``, mode ``j`` has the angle ``theta_j`` of
+    :func:`~topocorr.analytics.secular_angles`, the value ``sigma_j^2 =
+    (a - b)^2 + 4ab sin^2(theta_j/2)`` and, for sites ``k = 1..n``, the
+    vectors ``v_k ~ (-1)^k sin(k theta_j)`` and ``u_k ~ (-1)^(k+j-1)
+    sin((n+1-k) theta_j)``: ``u`` is ``v`` reversed, up to a sign, never the
+    cancelling ``B v / sigma``.  Below the band (``ratio < n/(n+1)``) mode 1
+    takes ``theta = i mu`` with ``mu`` from
+    :func:`~topocorr.analytics.edge_exponent`, its value ``b sinh(mu) /
+    sinh((n+1) mu)`` and its vector in log space.  The entries of a
+    bidiagonal matrix determine its singular values to high relative
+    accuracy (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11, 873 (1990)),
+    and these formulas keep it: the exponentially small value underflows
+    only where it is below the doubles.  Returns ``(u, s, v)`` stacked over
+    ``a``, values ascending, vectors in the columns.
     """
-    diag_arr = np.asarray(diags, dtype=complex)
-    # np.hypot is the modulus Python's abs(complex) computes, bit for bit
-    mods = np.hypot(diag_arr.real, diag_arr.imag)
+    ratio = a / b
+    theta = secular_angles(ratio[:, None], np.arange(1, n + 1), n)
+    half = np.sin(0.5 * theta)
+    s = np.sqrt((a - b)[:, None] ** 2 + (4.0 * b) * a[:, None] * half * half)
+    sites = np.arange(1, n + 1)
+    signs = np.where(sites % 2 == 0, 1.0, -1.0)
+    # rows are modes here, so each norm sums one contiguous row
+    v = signs * np.sin(theta[:, :, None] * sites)
+    # where the two branches meet, theta = 0 and sin(k theta)/theta -> k
+    v[theta[:, 0] == 0, 0] = signs * sites
+    edge = np.flatnonzero(ratio < n / (n + 1))
+    mu = edge_exponent(-np.log(np.maximum(ratio[edge], np.finfo(float).tiny)), n)
+    # a root rounded onto the meeting point keeps the limit above
+    edge, mu = edge[mu > 0], mu[mu > 0, None]
+    s[edge, 0] = (b * np.exp(-n * mu) * np.expm1(-2 * mu) / np.expm1(-2 * (n + 1) * mu))[:, 0]
+    # sinh(k mu) over exp(n mu)
+    v[edge, 0] = signs * np.exp((sites - n) * mu) * -np.expm1(-2 * sites * mu)
+    v /= np.sqrt(np.sum(v * v, axis=-1))[:, :, None]
+    u = v[:, :, ::-1] * (signs * signs[-1])[:, None]
+    return u.swapaxes(-1, -2), s, v.swapaxes(-1, -2)
+
+
+def _real_bidiagonal_svd(n, mods, b):
+    """:func:`_toeplitz_svd` of the lower bidiagonal matrices with diagonals
+    ``mods`` and off-diagonal ``b >= 0``.
+
+    An off-diagonal below the rounding of a diagonal leaves that matrix
+    diagonal to working precision, and its SVD is the identity.  A zero
+    diagonal is exactly singular and raises :class:`ResonanceError`.
+    """
     if not np.all(np.isfinite(mods)):
         raise ValueError("frequencies must be finite")
-    k = mods.size
-    diag_idx = np.arange(n)
-    br = np.zeros((k, n, n))
-    br[:, diag_idx, diag_idx] = mods[:, None]
-    if lower:
-        br[:, diag_idx[1:], diag_idx[:-1]] = abs(offdiag)
-    else:
-        br[:, diag_idx[:-1], diag_idx[1:]] = abs(offdiag)
-    lwork = _gesvd_lwork(n)
-    ur = np.empty((k, n, n))
-    s = np.empty((k, n))
-    vtr = np.empty((k, n, n))
-    for i in range(k):
-        ur[i], s[i], vtr[i], info = scipy.linalg.lapack.dgesvd(br[i], lwork=lwork)
-        if info > 0:
-            raise np.linalg.LinAlgError("SVD did not converge")
-    s = s[:, ::-1].copy()
-    ur = ur[:, :, ::-1]
-    vtr = vtr[:, ::-1]
+    if not np.all(mods > 0):
+        raise ResonanceError(
+            f"a {n}-site symmetry channel has a zero diagonal: w*I - H is singular"
+        )
+    coupled = b >= np.finfo(float).eps * mods
+    if coupled.all():
+        return _toeplitz_svd(mods, b, n)
+    ur = np.broadcast_to(np.eye(n), (mods.size, n, n)).copy()
+    s = np.repeat(mods[:, None], n, axis=1)
+    vr = ur.copy()
+    if coupled.any():
+        ur[coupled], s[coupled], vr[coupled] = _toeplitz_svd(mods[coupled], b, n)
+    return ur, s, vr
+
+
+def _bidiagonal_svd(n, diags, offdiag, lower, real):
+    """SVDs of bidiagonal Toeplitz matrices, one per entry of ``diags``, from
+    the SVDs ``real = (ur, s, vr)`` of their real lower bidiagonal forms
+    (:func:`_real_bidiagonal_svd`).
+
+    Factoring out site-dependent phases leaves a nonnegative real bidiagonal
+    matrix; the upper bidiagonal form is the transpose of the lower one,
+    with ``u`` and ``v`` swapped.  The smallest value is refined through the
+    inverse where it falls below ``_INVERSE_REFINE_REL`` of the largest, and
+    one below the reach of :func:`_smallest_triple_via_inverse` raises
+    :class:`ResonanceError`.  Returns the stacked ``(u, s, v)``, values
+    ascending along the last axis of ``s``.
+    """
+    ur, s, vr = real if lower else (real[2], real[1], real[0])
+    s = s.copy()
     refined = []
     for i in np.nonzero(s[:, 0] < _INVERSE_REFINE_REL * s[:, -1])[0]:
         # one scalar type whatever the caller passed: Python and NumPy complex
@@ -157,12 +198,13 @@ def _bidiagonal_svd(n, diags, offdiag, lower):
             )
         s[i, 0] = s0
         refined.append((i, u0, v0))
-    angles = np.angle(diag_arr)[:, None]
+    angles = np.angle(diags)[:, None]
     step = np.angle(offdiag) - angles
-    theta = (diag_idx * step) if lower else (-diag_idx * step)
+    sites = np.arange(n)
+    theta = (sites * step) if lower else (-sites * step)
     phi = angles - theta
     u = np.exp(1j * theta)[:, :, None] * ur
-    v = vtr.swapaxes(-1, -2) * np.exp(-1j * phi)[:, :, None]
+    v = vr * np.exp(-1j * phi)[:, :, None]
     # the refined vectors come from the complex inverse, phases included
     for i, u0, v0 in refined:
         u[i, :, 0] = u0
@@ -195,13 +237,20 @@ def _smallest_triple_via_inverse(n, diag, offdiag, lower):
 
 def _channel_svd(omegas, j, g_s, gamma, n):
     """Phase-restored SVDs of the two bidiagonal symmetry channels, stacked
-    over a 1-D array of frequencies: ``((u+, s+, v+), (u-, s-, v-))``."""
-    # eta = +1 sector (hole block = +i particle block): lower bidiagonal
-    plus = _bidiagonal_svd(n, [w + 1j * (gamma / 2 - g_s) for w in omegas], -2j * j,
-                           lower=True)
+    over a 1-D array of frequencies: ``((u+, s+, v+), (u-, s-, v-))``.
+
+    Both channels share the off-diagonal modulus ``2|J|``, so one closed-form
+    solve serves both.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    k = omegas.size
+    # eta = +1 sector (hole block = +i particle block): lower bidiagonal;
     # eta = -1 sector: upper bidiagonal
-    minus = _bidiagonal_svd(n, [w + 1j * (gamma / 2 + g_s) for w in omegas], 2j * j,
-                            lower=False)
+    diags = np.concatenate([omegas + 1j * (gamma / 2 - g_s), omegas + 1j * (gamma / 2 + g_s)])
+    # np.hypot is the modulus Python's abs(complex) computes, bit for bit
+    ur, s, vr = _real_bidiagonal_svd(n, np.hypot(diags.real, diags.imag), abs(2j * j))
+    plus = _bidiagonal_svd(n, diags[:k], -2j * j, True, (ur[:k], s[:k], vr[:k]))
+    minus = _bidiagonal_svd(n, diags[k:], 2j * j, False, (ur[k:], s[k:], vr[k:]))
     return plus, minus
 
 

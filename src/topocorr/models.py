@@ -608,7 +608,8 @@ def imaginary_gauge(c: CouplingSet) -> Gauge:
     exactly zero: an on-site disorder draw has the same abscissas bit for
     bit.  Sites are interleaved, ``(x_0, p_0, x_1, p_1, ...)``, so each
     abscissa is a banded eigensolve of bandwidth ``2R + 1`` for a coupling
-    range of ``R`` sites.
+    range of ``R`` sites.  If one of them does not converge, the gauge is
+    uncertified (``alpha = inf``), and disorder draws keep the gate.
     """
     n = c.n
     im_a1, im_k = (c.j_mat + _rates(c.gamma_mat, c.p_mat)).imag, c.k_mat.imag
@@ -644,16 +645,20 @@ def imaginary_gauge(c: CouplingSet) -> Gauge:
 
     lo, hi = _GAUGE_LOG_R
     a, b = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    fa, fb = abscissa(a), abscissa(b)
-    for _ in range(_GAUGE_EVALUATIONS - 2):
-        if fa <= fb:
-            hi, b, fb = b, a, fa
-            a = hi - _GOLDEN * (hi - lo)
-            fa = abscissa(a)
-        else:
-            lo, a, fa = a, b, fb
-            b = lo + _GOLDEN * (hi - lo)
-            fb = abscissa(b)
+    try:
+        fa, fb = abscissa(a), abscissa(b)
+        for _ in range(_GAUGE_EVALUATIONS - 2):
+            if fa <= fb:
+                hi, b, fb = b, a, fa
+                a = hi - _GOLDEN * (hi - lo)
+                fa = abscissa(a)
+            else:
+                lo, a, fa = a, b, fb
+                b = lo + _GOLDEN * (hi - lo)
+                fb = abscissa(b)
+    except np.linalg.LinAlgError:
+        # an eigensolve that does not converge bounds nothing: no certificate
+        return Gauge(r=1.0, alpha=math.inf, margin=0.0)
     t, alpha = (a, fa) if fa <= fb else (b, fb)
     # Each entry is a sum of terms |x_ij| r^(i-j) rounded to a few ulps, and
     # the banded eigensolve is backward stable; the Frobenius norm of those

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-import scipy.linalg
+import warnings
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,39 +16,12 @@ def pure_loss_chain(n=4, gamma=2.0):
     ))
 
 
-def oracle_bidiagonal_svd(n, diag, offdiag, lower):
-    """One channel's SVD, one frequency per call, as ``factorize`` took it
-    before the channel SVD was batched over frequencies."""
-    br = np.diag(np.full(n, abs(diag)))
-    if lower:
-        br[np.arange(1, n), np.arange(n - 1)] = abs(offdiag)
-    else:
-        br[np.arange(n - 1), np.arange(1, n)] = abs(offdiag)
-    ur, s, vtr = scipy.linalg.svd(br, lapack_driver="gesvd")
-    s = s[::-1].copy()
-    ur = ur[:, ::-1]
-    vtr = vtr[::-1]
-    phase_fix = None
-    if s[0] < 1e-12 * s[-1]:
-        # the refinement takes a Python complex whatever the caller's scalar
-        s0, u0, v0 = greensvd._smallest_triple_via_inverse(n, complex(diag), offdiag, lower)
-        s[0] = s0
-        phase_fix = (u0, v0)
-    step = np.angle(offdiag) - np.angle(diag)
-    theta = (np.arange(n) * step) if lower else (-np.arange(n) * step)
-    phi = np.angle(diag) - theta
-    u = np.exp(1j * theta)[:, None] * ur
-    v = vtr.conj().T * np.exp(-1j * phi)[:, None]
-    if phase_fix is not None:
-        u[:, 0] = phase_fix[0]
-        v[:, 0] = phase_fix[1]
-    return u, s, v
-
-
 def oracle_channel_svd(omega, j, g_s, gamma, n):
-    """The full 2n SVD assembled from the two channels at one frequency."""
-    up, sp, vp = oracle_bidiagonal_svd(n, omega + 1j * (gamma / 2 - g_s), -2j * j, lower=True)
-    um, sm, vm = oracle_bidiagonal_svd(n, omega + 1j * (gamma / 2 + g_s), 2j * j, lower=False)
+    """The full 2n SVD assembled from the two channels' SVDs at one frequency."""
+    (up, sp, vp), (um, sm, vm) = [
+        tuple(x[0] for x in channel)
+        for channel in greensvd._channel_svd(np.array([omega]), j, g_s, gamma, n)
+    ]
     s = np.concatenate([sp, sm])
     u = np.zeros((2 * n, 2 * n), dtype=complex)
     v = np.zeros((2 * n, 2 * n), dtype=complex)
@@ -62,6 +36,15 @@ def oracle_channel_svd(omega, j, g_s, gamma, n):
     v[n:, n:] = -1j * r * vm
     order = np.argsort(s, kind="stable")
     return u[:, order], s[order], v[:, order]
+
+
+def channel_matrices(omega, j, g_s, gamma, n):
+    """B+ (lower) and B- (upper) bidiagonal Toeplitz, as ``_channel_svd``
+    factorizes them."""
+    eye, sub = np.eye(n), np.eye(n, k=-1)
+    plus = (omega + 1j * (gamma / 2 - g_s)) * eye - 2j * j * sub
+    minus = (omega + 1j * (gamma / 2 + g_s)) * eye + 2j * j * sub.T
+    return plus, minus
 
 
 def count_refinements(monkeypatch):
@@ -142,7 +125,6 @@ class TestChannelSvd:
             np.testing.assert_array_equal(t.u, u)
             np.testing.assert_array_equal(t.v, v)
 
-
     def test_scalar_type_does_not_change_the_bits(self):
         # Python and NumPy complex division round differently, and the
         # inverse refinement raises the ratio to the n-th power; at gamma=2.5
@@ -153,6 +135,127 @@ class TestChannelSvd:
             a, b = tc.svd_at(h, float(w)), tc.svd_at(h, w)
             for x, y in ((a.s, b.s), (a.u, b.u), (a.v, b.v)):
                 np.testing.assert_array_equal(x, y)
+
+
+# Channel singular values s[0], s[1], s[n // 2] and s[n - 1] of model_i at
+# (n, gamma, omega), from a 50-digit mpmath SVD of each bidiagonal channel
+# (J = 1, g_s = 1; the diagonal moduli are the doubles _channel_svd forms).
+# The mpmath SVD and the 50-digit roots of the secular equation agree to
+# 2e-26 relative, and to 3e-29 at s0 = 1.55e-24.  A dense dgesvd of the
+# channel puts s0 4.1e-10 off at (40, 3, 1.3) and 5.4e-11 off at (100, 4, 1.5).
+MPMATH_CHANNEL_VALUES = {
+    # refined through the inverse: s0 = 1.6e-24, 7.6e-26 and 1.5e-18
+    (40, 3.0, 0.0): ((1.5509636485369269e-24, 1.5020882425435835, 2.06451705655024,
+                      2.4987788618921156),
+                     (0.5239376117313216, 0.5911434068192777, 3.2358366302274972,
+                      4.496666736576198)),
+    (40, 3.0, 0.5): ((1.5178830414797103e-18, 1.2963542760278017, 2.12696089054084,
+                      2.705516715523981),
+                     (0.5721282823730477, 0.6360864650832692, 3.2752638374791334,
+                      4.546148279080887)),
+    (100, 4.0, 0.5): ((7.599828328483148e-26, 0.8832483912443225, 2.296245169236495,
+                       3.1176826273296063),
+                      (1.04409890748317, 1.0522098181511181, 3.656431881245968,
+                       5.040792981554899)),
+    # edge branch, not refined
+    (40, 3.0, 1.3): ((5.341607792068307e-07, 0.6228347529276728, 2.4543913874435646,
+                      3.3903580409728415),
+                     (0.835649505761371, 0.8873111815016916, 3.4934628212228698,
+                      4.8142964887738104)),
+    (100, 4.0, 1.5): ((1.1619829557221088e-05, 0.20778898216626257, 2.702343919428575,
+                       3.8023121653626495),
+                      (1.3564278297064092, 1.36338065443958, 3.9227019625934885,
+                       5.353491369579789)),
+    # in the band, just above where the branches meet
+    (40, 3.0, 1.9): ((0.05604506299094641, 0.22563051563991166, 2.830317405782126,
+                      3.9617062171569337),
+                     (1.1548459299586202, 1.1981671366841546, 3.764257719826326,
+                      5.136408408889828)),
+    (100, 4.0, 1.8): ((0.07703599743184422, 0.12090150210546081, 2.8819352965051124,
+                       4.058630411167491),
+                      (1.500769658363916, 1.5073448344200922, 4.047967954459795,
+                       5.497951095519255)),
+    # bulk
+    (40, 3.0, 2.7): ((0.7647477076534813, 0.8190386227671433, 3.4342835206606463,
+                      4.742438567821738),
+                     (1.69177582252391, 1.727559928941941, 4.234065913783008,
+                      5.675804526629822)),
+    (100, 4.0, 3.0): ((1.1648197577723074, 1.1724125051706744, 3.7585175122122907,
+                       5.1616804274019055),
+                      (2.2444382980140123, 2.2498211213995845, 4.710653645484683,
+                       6.2419789703057305)),
+}
+
+
+class TestClosedFormChannelSvd:
+    @pytest.mark.parametrize("n,gamma,omega", list(MPMATH_CHANNEL_VALUES))
+    def test_values_match_mpmath(self, n, gamma, omega):
+        c = tc.build_model_i(tc.ModelIParams(n_sites=n, gamma=gamma))
+        channels = greensvd._channel_svd(np.array([omega]), *c.channels, n)
+        for (_, s, _), want in zip(channels, MPMATH_CHANNEL_VALUES[n, gamma, omega]):
+            got = s[0, [0, 1, n // 2, n - 1]]
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n", [40, 100])
+    def test_smallest_value_matches_the_secular_root(self, n):
+        # zero_singular_value solves the same secular equation, from its own
+        # lambda(omega, gamma); refined nodes take the inverse's value
+        for gamma in (3.0, 4.0, 5.0):
+            c = tc.build_model_i(tc.ModelIParams(n_sites=n, gamma=gamma))
+            omegas = np.array([w for w in np.linspace(-1.9, 1.9, 39)
+                               if tc.phase_region(w, gamma)
+                               is tc.PhaseRegion.SINGLE_EDGE_TOPOLOGICAL])
+            (_, s, _), _ = greensvd._channel_svd(omegas, *c.channels, n)
+            want = [tc.zero_singular_value(w, gamma, n)[0] for w in omegas]
+            np.testing.assert_allclose(s[:, 0], want, rtol=1e-13, atol=0)
+
+    @given(
+        n=st.integers(1, 120),
+        kappa_plus=st.floats(0.05, 4.0),
+        kappa_minus=st.floats(0.05, 6.0),
+        j=st.floats(0.0, 3.0),
+        omegas=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_reconstruction_and_orthogonality(self, n, kappa_plus, kappa_minus, j, omegas):
+        gamma, g_s = kappa_plus + kappa_minus, (kappa_minus - kappa_plus) / 2
+        omegas = np.array(omegas)
+        channels = greensvd._channel_svd(omegas, j, g_s, gamma, n)
+        eye = np.eye(n)
+        for i, w in enumerate(omegas):
+            for (u, s, v), b in zip(channels, channel_matrices(w, j, g_s, gamma, n)):
+                u, s, v = u[i], s[i], v[i]
+                assert np.all(np.diff(s) >= 0)
+                scale = np.abs(b).max()
+                assert np.abs((u * s) @ v.conj().T - b).max() <= 1e-13 * n * scale
+                assert np.abs(u.conj().T @ u - eye).max() <= 1e-13 * n
+                assert np.abs(v.conj().T @ v - eye).max() <= 1e-13 * n
+
+    def test_uncoupled_channels_are_exactly_diagonal(self):
+        # J = 0: each channel is diagonal, and its values are the moduli
+        omegas = np.array([-1.5, 0.0, 0.7])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            channels = greensvd._channel_svd(omegas, 0.0, 0.5, 2.0, 4)
+        for (u, s, v), kappa in zip(channels, (0.5, 1.5)):
+            np.testing.assert_array_equal(s, np.repeat(np.hypot(omegas, kappa)[:, None], 4, 1))
+            for i, w in enumerate(omegas):
+                np.testing.assert_allclose((u[i] * s[i]) @ v[i].conj().T,
+                                           (w + 1j * kappa) * np.eye(4), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("j", [1.0, 0.0], ids=["coupled", "uncoupled"])
+    def test_zero_diagonal_is_a_resonance(self, j):
+        # gamma/2 = g_s: the plus channel's diagonal vanishes at w = 0
+        h = tc.dynamical_matrix(tc.build_model_i(tc.ModelIParams(
+            n_sites=6, j=j, g_s=1.0, g_c=j, gamma=2.0)))
+        assert h.source.channels is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(tc.ResonanceError, match="zero diagonal"):
+                tc.svd_at(h, 0.0)
+            with pytest.raises(tc.ResonanceError, match="zero diagonal"):
+                tc.resolvent(h, np.array([1.0, 0.0]))
+            assert tc.svd_at(h, 1e-3).s[0] > 0
 
 
 class TestSvdAt:
