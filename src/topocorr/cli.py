@@ -65,7 +65,7 @@ from .correlations import (
     QuadratureSpec,
     equal_time,
     freq_correlations,
-    lro_parameter,
+    lro_curve,
 )
 from .disorder import critical_disorder, disorder_sweep
 from .greensvd import ResonanceError, singular_gap, svd_at
@@ -403,14 +403,8 @@ def cmd_correlations(cfg: RunConfig) -> int:
     out.csv("freq_mbar.csv", ["row", "col", "re", "im", "abs"],
             matrix_rows(np.nan_to_num(fc.m_bar)))
 
-    rows = []
-    for w in cfg.omega_values():
-        try:
-            fcw = freq_correlations(svd_at(h, w), c)
-        except ResonanceError:
-            continue
-        rows.append((w, lro_parameter(fcw.n_bar), lro_parameter(fcw.m_bar)))
-    out.csv("lro_curve.csv", ["omega", "lambda_n", "lambda_m"], rows)
+    out.csv("lro_curve.csv", ["omega", "lambda_n", "lambda_m"],
+            zip(*lro_curve(c, cfg.omega_values())))
 
     if ccfg["equal_time"]:
         et = equal_time(c, quad)

@@ -3,20 +3,24 @@
 Frequency-resolved normal and anomalous correlation matrices come straight
 from the singular basis: ``N(w) = Vp* Sigma Vp^T`` and ``M(w) = Vp* Sigma
 Vh^T`` with ``Sigma`` the amplification matrix and ``Vp``/``Vh`` the
-particle/hole blocks of the right singular vectors.  Equal-time matrices
-integrate the frequency-resolved ones over all frequencies with an adaptive
-composite Gauss-Legendre rule plus an analytic large-frequency tail.  The
-integrand ``I(w) = G* D G^T`` needs only the resolvent
-``G = (w*I - H)^{-1}``.  Every generator obeys ``C H* C = -H`` with ``C``
+particle/hole blocks of the right singular vectors.  Both are blocks of
+``I(w) = G* D G^T``, which needs only the resolvent ``G = (w*I - H)^{-1}``
+and the noise matrix ``D = diag(P, Gamma) = L L^T``: with ``Y = G* L``,
+``I = Y Y^dagger``.  The long-range-order curve (:func:`lro_curve`) reads
+``N`` and ``M`` off the first rows of that product, many frequencies per
+resolvent batch.  Equal-time matrices integrate ``I`` over all frequencies
+with an adaptive composite Gauss-Legendre rule plus an analytic
+large-frequency tail.  Every generator obeys ``C H* C = -H`` with ``C``
 the particle-hole block swap, so for real ``w`` ``G(-w) = -C G(w)* C``
 and ``I(-w)`` follows from the same resolvent; the rule therefore
 integrates ``I(w) + I(-w)`` over ``[0, W]``.  Every chain evaluates both
 halves with one :func:`resolvent` call per panel: a batched LU solve, or
 on symmetric chains the batched bidiagonal channel SVDs, which resolve the
 exponentially small topological singular value to full relative accuracy.
-``QuadratureReport.panels`` counts panels of ``[-W, W]``, two per folded
-panel, and a refinement that would need more than ``MAX_PANELS`` of them
-raises :class:`QuadratureError`.
+The weighted factors of a panel's nodes, side by side, give the panel's
+integral as one Gram product.  ``QuadratureReport.panels`` counts panels
+of ``[-W, W]``, two per folded panel, and a refinement that would need
+more than ``MAX_PANELS`` of them raises :class:`QuadratureError`.
 
 Normalization divides every entry by the geometric mean of the
 corresponding diagonal occupations, so normalized diagonals are exactly one
@@ -32,14 +36,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.typing import NDArray
+from scipy.linalg.blas import zherk
 
 from .models import CouplingSet, DynamicalMatrix, assert_stable, dynamical_matrix
-from .greensvd import SvdTriple, amplification_matrix, resolvent
+from .greensvd import ResonanceError, SvdTriple, amplification_matrix, resolvent
 
 ZERO_OCCUPATION_TOL = 1e-14
 RANK1_VALIDITY_RATIO = 0.1
 PANEL_NODES = 32
 MAX_PANELS = 4096
+_NOISE_PSD_MARGIN = 16
 
 
 class QuadratureError(RuntimeError):
@@ -120,23 +126,26 @@ class DecayFit:
     amp_gauss: float = field(default=float("nan"))
 
 
-def _normalize(mat, diag):
-    scale = np.sqrt(np.outer(diag, diag))
+def _normalized(n_mat, m_mat):
+    """N-bar and M-bar of one matrix pair or of stacks of them, with the
+    mask of the sites whose occupation vanishes (their rows and columns are
+    NaN)."""
+    diag = np.real(np.diagonal(n_mat, axis1=-2, axis2=-1)).copy()
+    dead = diag < ZERO_OCCUPATION_TOL
+    diag[dead] = np.nan
+    scale = np.sqrt(diag[..., :, None] * diag[..., None, :])
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = mat / scale
-    return out
+        n_bar = n_mat / scale
+        m_bar = m_mat / scale
+    idx = np.arange(diag.shape[-1])
+    n_bar[..., idx, idx] = np.where(np.isnan(diag), np.nan, 1.0)
+    return n_bar, m_bar, dead
 
 
 def normalized_forms(n_mat, m_mat):
     """Normalized matrices and the sites excluded for vanishing occupation."""
-    diag = np.real(np.diag(n_mat)).copy()
-    excluded = tuple(int(i) for i in np.nonzero(diag < ZERO_OCCUPATION_TOL)[0])
-    diag[diag < ZERO_OCCUPATION_TOL] = np.nan
-    n_bar = _normalize(n_mat, diag)
-    m_bar = _normalize(m_mat, diag)
-    idx = np.arange(diag.size)
-    n_bar[idx, idx] = np.where(np.isnan(diag), np.nan, 1.0)
-    return n_bar, m_bar, excluded
+    n_bar, m_bar, dead = _normalized(n_mat, m_mat)
+    return n_bar, m_bar, tuple(int(i) for i in np.flatnonzero(dead))
 
 
 def correlation_blocks(t: SvdTriple, c: CouplingSet):
@@ -192,39 +201,67 @@ def rank1_approximation(t: SvdTriple, c: CouplingSet) -> FreqCorrelations:
 # Equal-time integration
 
 
+def _gram(z):
+    """``z @ z^dagger`` for a C-ordered ``z``, exactly Hermitian.
+
+    One BLAS ``zherk`` computes one triangle, reading the transpose of ``z``
+    in place: the rank-k update gives ``conj(z z^dagger)``.
+    """
+    upper = zherk(1.0, z.T, trans=2)
+    return np.triu(upper).conj() + np.triu(upper, 1).T
+
+
 def _integrand_factory(c: CouplingSet, h: DynamicalMatrix):
-    """Return ``integrand(omegas) -> (I(w), I(-w))``, both stacked over the nodes.
+    """Return ``factors(omegas) -> (Y(w), Y(-w))``, both stacked over the
+    nodes, with the integrand ``I(+-w) = Y Y^dagger``.
 
     ``I(w) = G*(w) D G(w)^T`` with ``D = diag(P, Gamma)`` the noise matrix,
-    and ``G`` comes from one :func:`resolvent` call for all nodes, which
-    takes the chain's route: the bidiagonal channel SVDs on symmetric
-    chains, the LU solve elsewhere.  Every generator obeys ``C H* C = -H``
-    with ``C`` the particle-hole block swap, so for real ``w``
-    ``G(-w) = -C G(w)* C`` and the mirror half needs no second resolvent:
-    ``I(-w) = C [G_p Gamma G_p^dagger + G_h P G_h^dagger] C`` with
-    ``G_p = G[:, :n]`` and ``G_h = G[:, n:]``.  ``P`` enters as a full
-    matrix, since the effective model's gain matrix is not diagonal.
+    and ``D = L L^T`` with a real ``L`` that has one column per positive
+    eigenvalue of ``D``, so ``Y(w) = G*(w) L``.  A diagonal ``D`` (every
+    chain but the effective model's, whose gain matrix couples neighbours)
+    makes the product with ``L`` a selection and scaling of columns;
+    otherwise ``L = Q sqrt(Lambda)`` from the eigendecomposition.  ``L``
+    exists only for positive semidefinite ``D``: an eigenvalue below the
+    rounding margin of ``-||D||`` raises ``ValueError`` rather than losing
+    the negative part.
+
+    ``G`` comes from one :func:`resolvent` call for all nodes, which takes
+    the chain's route: the bidiagonal channel SVDs on symmetric chains, the
+    LU solve elsewhere.  Every generator obeys ``C H* C = -H`` with ``C``
+    the particle-hole block swap, so for real ``w`` ``G(-w) = -C G(w)* C``
+    and the mirror half needs no second resolvent: ``Y(-w) = C G(w) (C L)``.
     """
     n = c.n
-    p_zero = not np.any(c.p_mat)
+    d = c.noise_matrix
+    diagonal = not np.any(d - np.diag(np.diagonal(d)))
+    vals, vecs = (np.diagonal(d), None) if diagonal else np.linalg.eigh(d)
+    margin = _NOISE_PSD_MARGIN * d.shape[0] * np.finfo(float).eps * np.abs(vals).max()
+    if vals.min() < -margin:
+        raise ValueError(
+            f"the noise matrix diag(P, Gamma) has the negative eigenvalue "
+            f"{vals.min():.6g}; bath rates must be positive semidefinite"
+        )
+    keep = np.flatnonzero(vals > 0)
+    scale = np.sqrt(vals[keep])
+    # C as an index map; times_l(x, 0) is x L and times_l(x, 1) is x (C L)
+    swap = np.roll(np.arange(2 * n), n)
+    if diagonal:
+        cols = (keep, swap[keep])
 
-    def integrand(omegas):
+        def times_l(x, swapped):
+            return x[..., cols[swapped]] * scale
+    else:
+        l_mat = vecs[:, keep] * scale
+        l_mats = (l_mat, l_mat[swap])
+
+        def times_l(x, swapped):
+            return x @ l_mats[swapped]
+
+    def factors(omegas):
         g = resolvent(h, omegas)
-        g_part, g_hole = g[..., :n], g[..., n:]
-        direct = g_hole.conj() @ c.gamma_mat @ g_hole.swapaxes(-1, -2)
-        swapped = g_part @ c.gamma_mat @ g_part.conj().swapaxes(-1, -2)
-        if not p_zero:
-            direct += g_part.conj() @ c.p_mat @ g_part.swapaxes(-1, -2)
-            swapped += g_hole @ c.p_mat @ g_hole.conj().swapaxes(-1, -2)
-        # C X C swaps both the block rows and the block columns of X
-        mirror = np.empty_like(swapped)
-        mirror[..., :n, :n] = swapped[..., n:, n:]
-        mirror[..., :n, n:] = swapped[..., n:, :n]
-        mirror[..., n:, :n] = swapped[..., :n, n:]
-        mirror[..., n:, n:] = swapped[..., :n, :n]
-        return direct, mirror
+        return times_l(g, 0).conj(), times_l(g, 1)[:, swap]
 
-    return integrand
+    return factors
 
 
 def _tail_correction(h, noise, omega_max):
@@ -247,12 +284,16 @@ def _tail_next_order(h, noise, omega_max):
     return np.linalg.norm(noise, "fro") * norm_h**4 / (5 * np.pi * omega_max**5) * 3
 
 
-def _choose_omega_max(c, h, integrand, quad):
+def _choose_omega_max(c, h, factors, quad):
     omega_max = 4.0 * max(np.max(np.abs(np.linalg.eigvals(h))), 1.0)
-    # 21 nonnegative probes give the integrand at 41 points of [-W, W]
+    # 21 nonnegative probes give the integrand at 41 points of [-W, W]; the
+    # trace of I = Y Y^dagger is ||Y||_F^2
     probe = np.linspace(0.0, omega_max, 21)
-    peak = max(float(np.trace(val).real) for half in integrand(probe) for val in half)
-    while float(np.trace(integrand(np.array([omega_max]))[0][0]).real) > quad.tail_tol * peak:
+    peak = max(float(np.max(np.linalg.norm(half, axis=(1, 2)) ** 2))
+               for half in factors(probe))
+    while float(np.linalg.norm(factors(np.array([omega_max]))[0][0]) ** 2) > (
+        quad.tail_tol * peak
+    ):
         omega_max *= 2.0
     # the analytic tail handles what remains; make sure its own truncation
     # error is small relative to the leading tail term
@@ -269,29 +310,33 @@ def equal_time(c: CouplingSet, quad: QuadratureSpec = QuadratureSpec()) -> Equal
 
     The integral of ``I(w) = G*(w) D G(w)^T`` over ``[-W, W]`` is folded
     onto ``[0, W]``: composite Gauss-Legendre panels there integrate
-    ``I(w) + I(-w)``, both halves from one resolvent per panel (see
-    :func:`_integrand_factory`).  A panel is bisected wherever the two-half
-    refinement changes its integral by more than its share of the
-    tolerance; the analytic resolvent-series tail covers ``|w| > W``.  The
-    report counts panels of ``[-W, W]``, two per folded panel.  The chain
-    must be dynamically stable for the integral to exist.
+    ``I(w) + I(-w)``, both halves from the factors ``Y`` of one resolvent
+    per panel (see :func:`_integrand_factory`).  The factors of all nodes of
+    a panel, each scaled by the root of its weight, side by side form one
+    matrix ``Z``, and the panel's integral is the one product ``Z
+    Z^dagger``.  A panel is bisected wherever the two-half refinement
+    changes its integral by more than its share of the tolerance; the
+    analytic resolvent-series tail covers ``|w| > W``.  The report counts
+    panels of ``[-W, W]``, two per folded panel.  The chain must be
+    dynamically stable for the integral to exist, and its noise matrix
+    positive semidefinite.
     """
     assert_stable(c, "equal_time")
     h = dynamical_matrix(c)
-    integrand = _integrand_factory(c, h)
-    omega_max = _choose_omega_max(c, h.h, integrand, quad)
+    factors = _integrand_factory(c, h)
+    omega_max = _choose_omega_max(c, h.h, factors, quad)
     nodes, weights = leggauss(PANEL_NODES)
+    root_weights = np.sqrt(np.concatenate([weights, weights]))[:, None]
 
     def panel_integral(lo, hi):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        folded, mirror = integrand(mid + half * nodes)
-        folded += mirror
-        # accumulated node by node, in node order, so the sum does not depend
-        # on how the integrand batches its nodes
-        acc = None
-        for w, val in zip(weights, folded):
-            acc = w * val if acc is None else acc + w * val
-        return half * acc / (2 * np.pi)
+        direct, mirror = factors(mid + half * nodes)
+        # the columns of Z run over (node, factor column), both halves
+        z = np.empty((direct.shape[1], 2 * PANEL_NODES, direct.shape[2]), dtype=complex)
+        z[:, :PANEL_NODES] = direct.transpose(1, 0, 2)
+        z[:, PANEL_NODES:] = mirror.transpose(1, 0, 2)
+        z *= root_weights
+        return half / (2 * np.pi) * _gram(z.reshape(z.shape[0], -1))
 
     # first pass: moderate uniform panels give an initial tolerance scale
     n_seed = 8
@@ -350,6 +395,46 @@ def equal_time(c: CouplingSet, quad: QuadratureSpec = QuadratureSpec()) -> Equal
         n_mat=n_mat, m_mat=m_mat, n_bar=n_bar, m_bar=m_bar,
         quadrature_report=report, excluded_sites=excluded,
     )
+
+
+def lro_curve(c: CouplingSet, omegas) -> tuple[NDArray, NDArray, NDArray]:
+    """``(omegas, lambda_n, lambda_m)``: the frequency-resolved long-range
+    order of N-bar and M-bar over a grid (see :func:`lro_parameter`).
+
+    ``N(w)`` and ``M(w)`` are the first ``n`` rows of ``I(w) = Y Y^dagger``,
+    from the factors of :func:`_integrand_factory`, the values
+    :func:`freq_correlations` reads off the singular basis.  The chain is
+    gated once.  The resolvents come in batches of ``PANEL_NODES``
+    frequencies, so the peak memory is that of one quadrature panel.  A
+    frequency whose resolvent raises :class:`ResonanceError` is dropped from
+    the returned grid; the other frequencies of its batch are redone one by
+    one.
+    """
+    assert_stable(c, "lro_curve")
+    factors = _integrand_factory(c, dynamical_matrix(c))
+    n = c.n
+
+    def lambdas(ws):
+        y = factors(ws)[0]
+        rows = y[:, :n] @ y.conj().swapaxes(-1, -2)
+        n_bar, m_bar, _ = _normalized(rows[:, :, :n], rows[:, :, n:])
+        return [(w, lro_parameter(nb), lro_parameter(mb))
+                for w, nb, mb in zip(ws, n_bar, m_bar)]
+
+    omegas = np.asarray(omegas, dtype=float)
+    out = []
+    for start in range(0, omegas.size, PANEL_NODES):
+        batch = omegas[start:start + PANEL_NODES]
+        try:
+            out += lambdas(batch)
+        except ResonanceError:
+            for w in batch:
+                try:
+                    out += lambdas(np.array([w]))
+                except ResonanceError:
+                    continue
+    table = np.array(out, dtype=float).reshape(-1, 3)
+    return table[:, 0], table[:, 1], table[:, 2]
 
 
 # ---------------------------------------------------------------------------

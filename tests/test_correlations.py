@@ -181,23 +181,29 @@ INTEGRAND_ENTRIES = {
 }
 
 
+def gram(y):
+    """The integrand ``Y Y^dagger`` of stacked factors ``Y``."""
+    return y @ y.conj().swapaxes(-1, -2)
+
+
 def oracle_channel_integrand(c, h):
-    """The folded integrand of a symmetric chain as the quadrature took it
-    before the channel route of ``resolvent``: ``V* Sigma V^T`` from one full
-    factorization per node, taken independently at ``+w`` and at ``-w``
-    (symmetric chains have no gain, so no P term)."""
+    """The folded integrand factors of a symmetric chain as the quadrature
+    took them before the channel route of ``resolvent``: from one full
+    factorization per node, taken independently at ``+w`` and at ``-w``,
+    ``Y = V* S^{-1} U_h^T sqrt(Gamma)``, so that ``Y Y^dagger = V* Sigma
+    V^T`` (symmetric chains have no gain, so no P term, and a uniform
+    diagonal Gamma)."""
     n = c.n
+    root_gamma = np.sqrt(np.diag(c.gamma_mat))
 
     def node(omega):
         u, s, v = tc.factorize(h, omega)
-        sigma = (u[n:].T @ c.gamma_mat @ u[n:].conj()) / np.outer(s, s)
-        return v.conj() @ sigma @ v.T
+        return (v.conj() / s) @ (u[n:].T * root_gamma)
 
-    def integrand(omegas):
+    def factors(omegas):
         return np.stack([node(w) for w in omegas]), np.stack([node(-w) for w in omegas])
 
-    return integrand
-
+    return factors
 
 
 class TestEqualTimeIntegrand:
@@ -208,7 +214,7 @@ class TestEqualTimeIntegrand:
         c = tc.adiabatic_eliminate(tc.ModelIIParams(n_cells=30, gamma=3.0))
         assert c.channels is None
         direct, _ = _integrand_factory(c, tc.dynamical_matrix(c))(np.array([INTEGRAND_W]))
-        val = direct[0]
+        val = gram(direct)[0]
         assert abs(np.trace(val) - INTEGRAND_TRACE) < 1e-9 * INTEGRAND_TRACE
         assert abs(np.linalg.norm(val) - INTEGRAND_FRO) < 1e-9 * INTEGRAND_FRO
         for ij, ref in INTEGRAND_ENTRIES.items():
@@ -222,8 +228,8 @@ class TestEqualTimeIntegrand:
         integrand = _integrand_factory(chain, tc.dynamical_matrix(chain))
         omegas = np.array([-1.3, 0.0, 0.4])
         for half, batch in enumerate(integrand(omegas)):
-            for w, val in zip(omegas, batch):
-                single = integrand(np.array([w]))[half][0]
+            for w, val in zip(omegas, gram(batch)):
+                single = gram(integrand(np.array([w]))[half])[0]
                 assert np.linalg.norm(val - single) <= 1e-13 * np.linalg.norm(single)
 
     @pytest.mark.parametrize("c", [
@@ -238,7 +244,7 @@ class TestEqualTimeIntegrand:
         omegas = np.array([0.0, 0.21, 0.4, 1.3, 2.9, 7.0])
         _, mirror = integrand(omegas)
         direct, _ = integrand(-omegas)
-        for w, got, want in zip(omegas, mirror, direct):
+        for w, got, want in zip(omegas, gram(mirror), gram(direct)):
             # the LU resolvent at -w carries its own rounding, ~ cond * eps
             cond = np.linalg.cond(w * np.eye(2 * c.n) - h.h)
             bound = max(1e-13, 2 * cond * np.finfo(float).eps)
@@ -270,6 +276,86 @@ class TestEqualTimeIntegrand:
         assert c.channels is None
         with pytest.raises(tc.QuadratureError, match="within 4096 panels"):
             tc.equal_time(c, QuadratureSpec(rel_tol=1e-300))
+
+
+# 40-digit mpmath values of (lambda_n, lambda_m) of model_ii_effective (30
+# cells, gamma=3), from the exact inverse of the same floating-point H, at
+# frequencies where cond(w*I - H) is about 7e9.  The resolvent route is
+# within 4.5e-12 of them; freq_correlations(svd_at) misses them by up to
+# 4.9e-8, because a dense SVD bounds its error in units of eps * s_max.
+LRO_EFFECTIVE = {
+    -0.32: (0.96877985997830720119, 0.96941422796652190886),
+    0.0: (0.96885316657232515511, 0.96949158970782720624),
+    0.08: (0.96887660823193559234, 0.96951581629022148899),
+}
+
+
+class TestLroCurve:
+    GRID = np.linspace(-4.0, 4.0, 101)
+
+    @staticmethod
+    def per_frequency(c, omegas):
+        h = tc.dynamical_matrix(c)
+        fcs = [tc.freq_correlations(tc.svd_at(h, w), c) for w in omegas]
+        return (np.array([tc.lro_parameter(f.n_bar) for f in fcs]),
+                np.array([tc.lro_parameter(f.m_bar) for f in fcs]))
+
+    @pytest.mark.parametrize("make,rel", [
+        (lambda: stable_chain(n=40, gamma=5.0), 1e-10),
+        (lambda: tc.build_model_ii_full(tc.ModelIIParams(n_cells=15, gamma=3.0)), 1e-10),
+        # the dense-SVD reference is itself off by up to 4.9e-8 here (see
+        # LRO_EFFECTIVE, which holds this chain to 1e-10 against exact values)
+        (lambda: tc.adiabatic_eliminate(tc.ModelIIParams(n_cells=30, gamma=3.0)), 1e-7),
+    ], ids=["channels", "dense", "gain"])
+    def test_matches_per_frequency_svd(self, make, rel):
+        c = make()
+        omegas, lam_n, lam_m = tc.lro_curve(c, self.GRID)
+        np.testing.assert_array_equal(omegas, self.GRID)
+        ref_n, ref_m = self.per_frequency(c, self.GRID)
+        np.testing.assert_allclose(lam_n, ref_n, rtol=rel, atol=0)
+        np.testing.assert_allclose(lam_m, ref_m, rtol=rel, atol=0)
+
+    def test_gain_chain_matches_exact_values(self):
+        c = tc.adiabatic_eliminate(tc.ModelIIParams(n_cells=30, gamma=3.0))
+        assert c.channels is None and np.any(np.diag(c.p_mat, 1))
+        omegas, lam_n, lam_m = tc.lro_curve(c, list(LRO_EFFECTIVE))
+        want = np.array(list(LRO_EFFECTIVE.values()))
+        np.testing.assert_allclose(lam_n, want[:, 0], rtol=1e-10, atol=0)
+        np.testing.assert_allclose(lam_m, want[:, 1], rtol=1e-10, atol=0)
+
+    def test_resonant_frequency_loses_only_its_row(self, monkeypatch):
+        c = stable_chain(n=12, gamma=5.0)
+        full = tc.lro_curve(c, self.GRID)
+        bad = self.GRID[40]
+        real = correlations.resolvent
+
+        def resolvent(h, omegas):
+            if np.any(omegas == bad):
+                raise tc.ResonanceError(f"omega={bad} is resonant")
+            return real(h, omegas)
+
+        monkeypatch.setattr(correlations, "resolvent", resolvent)
+        omegas, lam_n, lam_m = tc.lro_curve(c, self.GRID)
+        np.testing.assert_array_equal(omegas, np.delete(self.GRID, 40))
+        for got, want in zip((lam_n, lam_m), full[1:]):
+            np.testing.assert_allclose(got, np.delete(want, 40), rtol=1e-13, atol=0)
+
+    def test_gate_refuses_unstable_chain(self):
+        with pytest.raises(tc.UnstableSystemError):
+            tc.lro_curve(stable_chain(n=6, gamma=1.6), self.GRID)
+
+
+def test_noise_matrix_must_be_positive_semidefinite():
+    # stable (negative P only adds damping), but diag(P, Gamma) has no real
+    # factor L L^T, so the Gram forms of the correlations do not exist
+    base = stable_chain(n=4, gamma=5.0)
+    c = tc.CouplingSet(j_mat=base.j_mat, k_mat=base.k_mat, gamma_mat=base.gamma_mat,
+                       p_mat=-0.5 * np.eye(4))
+    assert c.stability.stable
+    with pytest.raises(ValueError, match="negative eigenvalue -0.5"):
+        tc.equal_time(c)
+    with pytest.raises(ValueError, match="negative eigenvalue -0.5"):
+        tc.lro_curve(c, [0.0])
 
 
 class TestLroParameter:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import warnings
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import topocorr as tc
@@ -319,9 +319,15 @@ class TestSvdAt:
     n=st.integers(2, 8),
 )
 @settings(max_examples=20, deadline=None)
+@example(omega=0.0, gamma=2.0, g_c=1.0, n=2)
 def test_svd_invariants_generic(omega, gamma, g_c, n):
     c = tc.build_model_i(tc.ModelIParams(n_sites=n, gamma=gamma, g_c=g_c))
     h = tc.dynamical_matrix(c)
+    if c.channels is not None and omega == 0 and gamma / 2 == c.channels[1]:
+        # the plus channel's diagonal w + i(gamma/2 - g_s) is exactly zero
+        with pytest.raises(tc.ResonanceError):
+            tc.svd_at(h, omega)
+        return
     t = tc.svd_at(h, omega)
     a = omega * np.eye(2 * n) - h.h
     scale = max(np.linalg.norm(a, "fro"), 1.0)
