@@ -48,6 +48,7 @@ Exit codes: 0 success, 2 configuration error, 3 dynamically unstable model,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -68,7 +69,7 @@ from .correlations import (
     lro_curve,
 )
 from .disorder import critical_disorder, disorder_sweep
-from .greensvd import ResonanceError, singular_gap, svd_at
+from .greensvd import ResonanceError, singular_gap, singular_values, svd_at
 from .models import (
     CouplingSet,
     ModelIParams,
@@ -278,10 +279,13 @@ class RunConfig:
 # Output helpers
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+@functools.lru_cache(maxsize=None)
+def _row_template(types: tuple) -> str:
+    """``%``-template of a CSV row with values of these types: integers
+    (bools and numpy integers too) print as ``str(int(x))``, everything
+    else as ``format(float(x), ".17g")``."""
+    return ",".join("%d" if issubclass(t, (int, np.integer)) else "%.17g"
+                    for t in types) + "\n"
 
 
 class OutputWriter:
@@ -303,8 +307,7 @@ class OutputWriter:
         with open(path, "w", newline="\n") as fh:
             fh.write(self.header + "\n")
             fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(x) for x in row) + "\n")
+            fh.writelines(_row_template(tuple(map(type, row))) % tuple(row) for row in rows)
         self.written.append(path)
         return path
 
@@ -322,7 +325,7 @@ def matrix_rows(mat):
     for i in range(mat.shape[0]):
         for j in range(mat.shape[1]):
             v = mat[i, j]
-            yield [i, j, v.real, v.imag, abs(v)]
+            yield i, j, v.real, v.imag, abs(v)
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +340,9 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     if cfg.data["boundary"] == "obc":
         h = dynamical_matrix(c)
         assert_stable(h, "cmd_spectrum")
-        rows = []
-        for w in omegas:
-            t = svd_at(h, w)
-            rows.extend((w, i, s) for i, s in enumerate(t.s))
-        out.csv("spectrum_obc.csv", ["omega", "index", "singular_value"], rows)
+        values = singular_values(h, omegas)
+        out.csv("spectrum_obc.csv", ["omega", "index", "singular_value"],
+                ((w, i, s) for w, row in zip(omegas, values) for i, s in enumerate(row)))
     else:
         # Band structure is a property of the matrix family, not of a steady
         # state, so the stability gate does not apply under pbc.
@@ -350,13 +351,16 @@ def cmd_spectrum(cfg: RunConfig) -> int:
             raise ValueError(f"n_k must be positive, got {n_k}")
         bloch = bloch_matrix(c, np.linspace(-np.pi, np.pi, n_k, endpoint=False))
         eye = np.eye(bloch.shape[-1])
-        rows = []
-        for w in omegas:
-            svals = np.linalg.svd(w * eye - bloch, compute_uv=False)
-            band_min = np.sort(svals, axis=1).min(axis=0)  # ascending per band
-            for i, s in enumerate(band_min):
-                rows.append((w, i, s))
-        out.csv("spectrum_pbc.csv", ["omega", "band", "min_singular_value"], rows)
+        # one batched SVD per 8192 Bloch matrices: 32 frequencies at n_k = 256
+        step = max(1, 8192 // n_k)
+        band_min = np.concatenate([
+            # ascending per band, then the minimum over k
+            np.sort(np.linalg.svd(batch[:, None, None, None] * eye - bloch,
+                                  compute_uv=False), axis=-1).min(axis=-2)
+            for batch in np.split(omegas, range(step, omegas.size, step))
+        ])
+        out.csv("spectrum_pbc.csv", ["omega", "band", "min_singular_value"],
+                ((w, i, s) for w, row in zip(omegas, band_min) for i, s in enumerate(row)))
     for p in out.written:
         print(p)
     return EXIT_OK

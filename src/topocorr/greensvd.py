@@ -5,7 +5,9 @@ All frequency-domain quantities descend from the factorization
 ``s[0]`` is always the candidate topological zero.  The Green's function is
 ``V diag(1/s) U^dagger`` and the amplification matrix contracts the bath
 moments with the left singular vectors.  Paths that need ``G`` alone can
-take :func:`resolvent`, which returns it for many frequencies at once.
+take :func:`resolvent`, which returns it for many frequencies at once, and
+paths that need the values alone (the OBC spectrum) take
+:func:`singular_values`, batched the same way and with no vectors.
 
 For the symmetric chain (pure imaginary uniform hopping matching the
 off-diagonal pairing, zero detuning, uniform loss, no gain) the shifted
@@ -18,11 +20,13 @@ Those have a closed form, the roots of one secular equation (Yueh, Appl.
 Math. E-Notes 5, 66 (2005)), solved for every mode of every frequency of a
 batch at once; it resolves the exponentially small topological singular
 value to full relative accuracy, where the generic dense SVD only bounds
-its error in units of ``eps * s_max``.  Values below ``1e-12 s_max`` still
-take their triple from the explicit inverse, and one too small for that
-refinement to represent raises :class:`ResonanceError`.  Other chains take
-the refined dense SVD in ``factorize`` and a batched LU solve in
-``resolvent``.
+its error in units of ``eps * s_max``.  In ``factorize`` and ``resolvent``
+values below ``1e-12 s_max`` still take their triple from the explicit
+inverse, and one too small for that refinement to represent raises
+:class:`ResonanceError`; ``singular_values`` keeps the closed-form values
+and raises only for one below the normal doubles.  Other chains take the
+refined dense SVD in ``factorize``, a batched LU solve in ``resolvent``
+and a batched values-only SVD in ``singular_values``.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ from .models import CouplingSet, DynamicalMatrix
 RESONANCE_TOL = 1e-14
 _GAUGE_ANCHOR_REL = 1e-8
 _INVERSE_REFINE_REL = 1e-12
+# frequencies per batch of singular_values, as correlations.PANEL_NODES
+_CHUNK = 32
 
 
 class ResonanceError(RuntimeError):
@@ -103,40 +109,52 @@ class GreenFunction:
         return self.g_full[self.n:, self.n:]
 
 
-def _toeplitz_svd(a, b, n):
-    """Closed-form SVDs of real lower bidiagonal Toeplitz matrices with
-    diagonals ``a > 0`` (a 1-D array) and off-diagonal ``b >= eps * a``.
+def _toeplitz_values(a, b, n):
+    """Closed-form singular values of real lower bidiagonal Toeplitz matrices
+    with diagonals ``a > 0`` (a 1-D array) and off-diagonal ``b >= eps * a``.
 
     With ``ratio = a/b``, mode ``j`` has the angle ``theta_j`` of
-    :func:`~topocorr.analytics.secular_angles`, the value ``sigma_j^2 =
-    (a - b)^2 + 4ab sin^2(theta_j/2)`` and, for sites ``k = 1..n``, the
-    vectors ``v_k ~ (-1)^k sin(k theta_j)`` and ``u_k ~ (-1)^(k+j-1)
-    sin((n+1-k) theta_j)``: ``u`` is ``v`` reversed, up to a sign, never the
-    cancelling ``B v / sigma``.  Below the band (``ratio < n/(n+1)``) mode 1
-    takes ``theta = i mu`` with ``mu`` from
-    :func:`~topocorr.analytics.edge_exponent`, its value ``b sinh(mu) /
-    sinh((n+1) mu)`` and its vector in log space.  The entries of a
-    bidiagonal matrix determine its singular values to high relative
-    accuracy (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11, 873 (1990)),
-    and these formulas keep it: the exponentially small value underflows
-    only where it is below the doubles.  Returns ``(u, s, v)`` stacked over
-    ``a``, values ascending, vectors in the columns.
+    :func:`~topocorr.analytics.secular_angles` and the value ``sigma_j^2 =
+    (a - b)^2 + 4ab sin^2(theta_j/2)``.  Below the band (``ratio <
+    n/(n+1)``) mode 1 takes ``theta = i mu`` with ``mu`` from
+    :func:`~topocorr.analytics.edge_exponent` and the value ``b sinh(mu) /
+    sinh((n+1) mu)``.  The entries of a bidiagonal matrix determine its
+    singular values to high relative accuracy (Demmel & Kahan, SIAM J. Sci.
+    Stat. Comput. 11, 873 (1990)), and these formulas keep it: the
+    exponentially small value underflows only where it is below the doubles.
+    Returns ``(s, theta, edge, mu)``: the values ascending, stacked over
+    ``a``, the angles, and the rows whose mode 1 lies below the band with
+    their exponents (a column).
     """
     ratio = a / b
     theta = secular_angles(ratio[:, None], np.arange(1, n + 1), n)
     half = np.sin(0.5 * theta)
     s = np.sqrt((a - b)[:, None] ** 2 + (4.0 * b) * a[:, None] * half * half)
+    edge = np.flatnonzero(ratio < n / (n + 1))
+    mu = edge_exponent(-np.log(np.maximum(ratio[edge], np.finfo(float).tiny)), n)
+    # a root rounded onto the meeting point keeps the limit above
+    edge, mu = edge[mu > 0], mu[mu > 0, None]
+    s[edge, 0] = (b * np.exp(-n * mu) * np.expm1(-2 * mu) / np.expm1(-2 * (n + 1) * mu))[:, 0]
+    return s, theta, edge, mu
+
+
+def _toeplitz_svd(a, b, n):
+    """Closed-form SVDs of the matrices of :func:`_toeplitz_values`.
+
+    For sites ``k = 1..n``, mode ``j`` has the vectors ``v_k ~ (-1)^k
+    sin(k theta_j)`` and ``u_k ~ (-1)^(k+j-1) sin((n+1-k) theta_j)``: ``u``
+    is ``v`` reversed, up to a sign, never the cancelling ``B v / sigma``.
+    Below the band mode 1's vector is the ``sinh`` form, taken in log space.
+    Returns ``(u, s, v)`` stacked over ``a``, values ascending, vectors in
+    the columns.
+    """
+    s, theta, edge, mu = _toeplitz_values(a, b, n)
     sites = np.arange(1, n + 1)
     signs = np.where(sites % 2 == 0, 1.0, -1.0)
     # rows are modes here, so each norm sums one contiguous row
     v = signs * np.sin(theta[:, :, None] * sites)
     # where the two branches meet, theta = 0 and sin(k theta)/theta -> k
     v[theta[:, 0] == 0, 0] = signs * sites
-    edge = np.flatnonzero(ratio < n / (n + 1))
-    mu = edge_exponent(-np.log(np.maximum(ratio[edge], np.finfo(float).tiny)), n)
-    # a root rounded onto the meeting point keeps the limit above
-    edge, mu = edge[mu > 0], mu[mu > 0, None]
-    s[edge, 0] = (b * np.exp(-n * mu) * np.expm1(-2 * mu) / np.expm1(-2 * (n + 1) * mu))[:, 0]
     # sinh(k mu) over exp(n mu)
     v[edge, 0] = signs * np.exp((sites - n) * mu) * -np.expm1(-2 * sites * mu)
     v /= np.sqrt(np.sum(v * v, axis=-1))[:, :, None]
@@ -144,13 +162,14 @@ def _toeplitz_svd(a, b, n):
     return u.swapaxes(-1, -2), s, v.swapaxes(-1, -2)
 
 
-def _real_bidiagonal_svd(n, mods, b):
-    """:func:`_toeplitz_svd` of the lower bidiagonal matrices with diagonals
-    ``mods`` and off-diagonal ``b >= 0``.
+def _coupled_channels(n, mods, b):
+    """Which of the lower bidiagonal matrices with diagonals ``mods`` and
+    off-diagonal ``b >= 0`` are coupled.
 
     An off-diagonal below the rounding of a diagonal leaves that matrix
-    diagonal to working precision, and its SVD is the identity.  A zero
-    diagonal is exactly singular and raises :class:`ResonanceError`.
+    diagonal to working precision: its values are the diagonal and its SVD
+    is the identity.  A zero diagonal is exactly singular and raises
+    :class:`ResonanceError`.
     """
     if not np.all(np.isfinite(mods)):
         raise ValueError("frequencies must be finite")
@@ -158,7 +177,24 @@ def _real_bidiagonal_svd(n, mods, b):
         raise ResonanceError(
             f"a {n}-site symmetry channel has a zero diagonal: w*I - H is singular"
         )
-    coupled = b >= np.finfo(float).eps * mods
+    return b >= np.finfo(float).eps * mods
+
+
+def _real_bidiagonal_values(n, mods, b):
+    """Singular values of :func:`_real_bidiagonal_svd`'s matrices, without
+    vectors."""
+    coupled = _coupled_channels(n, mods, b)
+    s = np.repeat(mods[:, None], n, axis=1)
+    if coupled.any():
+        s[coupled] = _toeplitz_values(mods[coupled], b, n)[0]
+    return s
+
+
+def _real_bidiagonal_svd(n, mods, b):
+    """:func:`_toeplitz_svd` of the lower bidiagonal matrices with diagonals
+    ``mods`` and off-diagonal ``b >= 0``, the uncoupled ones (see
+    :func:`_coupled_channels`) with identity vectors."""
+    coupled = _coupled_channels(n, mods, b)
     if coupled.all():
         return _toeplitz_svd(mods, b, n)
     ur = np.broadcast_to(np.eye(n), (mods.size, n, n)).copy()
@@ -235,6 +271,14 @@ def _smallest_triple_via_inverse(n, diag, offdiag, lower):
     return 1.0 / s_inv[0], vh_inv[0].conj(), u_inv[:, 0]
 
 
+def _channel_diagonals(omegas, g_s, gamma):
+    """Diagonals of both symmetry channels over a 1-D array of frequencies:
+    the eta = +1 sector (hole block = +i particle block, lower bidiagonal),
+    then the eta = -1 sector (upper bidiagonal)."""
+    omegas = np.asarray(omegas, dtype=float)
+    return np.concatenate([omegas + 1j * (gamma / 2 - g_s), omegas + 1j * (gamma / 2 + g_s)])
+
+
 def _channel_svd(omegas, j, g_s, gamma, n):
     """Phase-restored SVDs of the two bidiagonal symmetry channels, stacked
     over a 1-D array of frequencies: ``((u+, s+, v+), (u-, s-, v-))``.
@@ -242,11 +286,8 @@ def _channel_svd(omegas, j, g_s, gamma, n):
     Both channels share the off-diagonal modulus ``2|J|``, so one closed-form
     solve serves both.
     """
-    omegas = np.asarray(omegas, dtype=float)
-    k = omegas.size
-    # eta = +1 sector (hole block = +i particle block): lower bidiagonal;
-    # eta = -1 sector: upper bidiagonal
-    diags = np.concatenate([omegas + 1j * (gamma / 2 - g_s), omegas + 1j * (gamma / 2 + g_s)])
+    k = len(omegas)
+    diags = _channel_diagonals(omegas, g_s, gamma)
     # np.hypot is the modulus Python's abs(complex) computes, bit for bit
     ur, s, vr = _real_bidiagonal_svd(n, np.hypot(diags.real, diags.imag), abs(2j * j))
     plus = _bidiagonal_svd(n, diags[:k], -2j * j, True, (ur[:k], s[:k], vr[:k]))
@@ -362,6 +403,63 @@ def resolvent(h: DynamicalMatrix, omegas) -> NDArray[np.complex128]:
             f"omega in [{omegas.min()}, {omegas.max()}] is resonant: "
             f"w*I - H is singular"
         ) from exc
+
+
+def singular_values(h: DynamicalMatrix, omegas) -> NDArray[np.float64]:
+    """Singular values of ``w*I - H`` for a 1-D array of frequencies, one
+    ascending row of ``2n`` per frequency, without vectors.
+
+    For paths that write the spectrum alone.  The frequencies are taken in
+    batches of ``_CHUNK``, so peak memory stays near one batch, and the
+    route follows the chain, as in :func:`resolvent`.  On symmetric chains
+    the values are the closed form of the channels (:func:`_toeplitz_values`)
+    everywhere: it is more accurate than the inverse refinement ``svd_at``
+    applies to small values, so they differ from ``svd_at``'s only there, at
+    the level of its rounding.  Other chains take one batched dense SVD per
+    batch, with the determinant refinement of a lone value below
+    ``_DENSE_FLOOR_REL`` of the largest.  A zero channel diagonal, a failed
+    SVD, or a smallest value below the normal doubles raises
+    :class:`ResonanceError`; a non-finite frequency raises ``ValueError``.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    if not np.all(np.isfinite(omegas)):
+        raise ValueError("frequencies must be finite")
+    out = np.empty((omegas.size, 2 * h.n))
+    for start in range(0, omegas.size, _CHUNK):
+        batch = omegas[start:start + _CHUNK]
+        s = out[start:start + batch.size]
+        if h.source.channels is not None:
+            j, g_s, gamma = h.source.channels
+            diags = _channel_diagonals(batch, g_s, gamma)
+            vals = _real_bidiagonal_values(h.n, np.hypot(diags.real, diags.imag), abs(2j * j))
+            s[:] = np.sort(np.concatenate([vals[:batch.size], vals[batch.size:]], axis=1))
+        else:
+            try:
+                s[:] = _dense_values(batch[:, None, None] * np.eye(2 * h.n) - h.h)
+            except np.linalg.LinAlgError as exc:
+                raise ResonanceError(
+                    f"SVD failed to converge for omega in [{batch.min()}, {batch.max()}]"
+                ) from exc
+        tiny = np.flatnonzero(~(s[:, 0] >= np.finfo(float).tiny))
+        if tiny.size:
+            raise ResonanceError(
+                f"omega={batch[tiny[0]]} is numerically resonant: the smallest "
+                f"singular value is below the normal doubles"
+            )
+    return out
+
+
+def _dense_values(shifted):
+    """Ascending singular values of a stack of dense matrices, each lone
+    value below ``_DENSE_FLOOR_REL`` of its largest refined as in
+    :func:`_dense_svd_ascending`."""
+    s = np.linalg.svd(shifted, compute_uv=False)[:, ::-1]
+    floor = _DENSE_FLOOR_REL * s[:, -1]
+    for i in np.flatnonzero((s[:, 0] < floor) & (s[:, 1] > floor)):
+        refined = _det_refined_smallest(shifted[i], s[i])
+        if refined is not None and refined < s[i, 1]:
+            s[i, 0] = refined
+    return s
 
 
 def _channel_resolvent(omegas, channels, n):

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import topocorr as tc
 from topocorr.cli import (
@@ -11,10 +17,13 @@ from topocorr.cli import (
     EXIT_OK,
     EXIT_UNSTABLE,
     ConfigError,
+    OutputWriter,
     RunConfig,
     _DEFAULTS,
     main,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(argv):
@@ -135,6 +144,20 @@ class TestSpectrumCommand:
         run(argv + ["--out", str(tmp_path / "b")])
         assert (tmp_path / "a" / "spectrum_obc.csv").read_bytes() == \
             (tmp_path / "b" / "spectrum_obc.csv").read_bytes()
+
+    def test_blas_thread_count_does_not_change_the_bytes(self, tmp_path):
+        # the README spectrum, whose channel values call no BLAS
+        paths = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+            subprocess.run(
+                [sys.executable, "-m", "topocorr.cli", "spectrum", "--model", "model_i",
+                 "--gamma", "4", "--n-sites", "50", "--out", str(tmp_path / threads)],
+                env=env, check=True, capture_output=True)
+            paths.append(tmp_path / threads / "spectrum_obc.csv")
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 class TestWindingCommand:
@@ -409,3 +432,32 @@ def test_failed_nudges_exit_numerical(tmp_path, capsys, monkeypatch):
     assert "numerical failure: gap closing at grid frequency omega=0.0" in err
     assert "both nudges" in err
     assert not (tmp_path / "winding.json").exists()
+
+
+def old_csv_value(x) -> str:
+    """How every CSV value was written before rows were formatted by template."""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), ".17g")
+
+
+_CSV_VALUES = st.one_of(
+    st.integers(-2**63, 2**64 - 1),
+    st.booleans(),
+    st.integers(-2**31, 2**31 - 1).map(np.int32),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, float("nan"), float("inf"), float("-inf")]),
+)
+
+
+@given(rows=st.lists(st.lists(_CSV_VALUES, min_size=1, max_size=6), max_size=8))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_csv_rows_keep_the_value_rule(tmp_path, rows):
+    cfg = RunConfig.load(None, {"outputs": {"dir": str(tmp_path)}})
+    path = OutputWriter(cfg).csv("rows.csv", ["a"], rows)
+    body = path.read_text().split("\n", 2)[2]
+    assert body == "".join(",".join(old_csv_value(x) for x in row) + "\n" for row in rows)

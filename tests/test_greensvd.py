@@ -441,6 +441,85 @@ class TestResolvent:
             tc.resolvent(h, np.array([1.0, 0.0]))
 
 
+class TestSingularValues:
+    # the channel chain and frequencies of TestChannelSvd: 5 of the 10 nodes
+    # are refined through the inverse in svd_at
+    CHANNEL = TestChannelSvd.CHAIN
+    OMEGAS = TestChannelSvd.OMEGAS
+    # no channels; at 3 of these 11 frequencies one value lies below
+    # 1e-10 s_max and is refined from the determinant
+    DENSE = tc.build_model_i(tc.ModelIParams(n_sites=50, delta=0.05, gamma=4.5))
+
+    def test_channel_values_are_the_closed_form(self, monkeypatch):
+        h = tc.dynamical_matrix(self.CHANNEL)
+        calls = count_refinements(monkeypatch)
+        got = tc.singular_values(h, self.OMEGAS)
+        assert calls == []
+        assert got.shape == (self.OMEGAS.size, 80)
+        refined = 0
+        for w, s in zip(self.OMEGAS, got):
+            want = tc.svd_at(h, w).s
+            if len(calls) > refined:
+                refined = len(calls)
+                np.testing.assert_allclose(s, want, rtol=1e-13, atol=0)
+            else:
+                np.testing.assert_array_equal(s, want)
+        assert refined == 5
+
+    def test_refined_node_is_closer_to_mpmath(self):
+        # the 50-digit s0 of MPMATH_CHANNEL_VALUES at a node svd_at refines
+        exact = MPMATH_CHANNEL_VALUES[100, 4.0, 0.5][0][0]
+        h = tc.dynamical_matrix(tc.build_model_i(tc.ModelIParams(n_sites=100, gamma=4.0)))
+        new = tc.singular_values(h, [0.5])[0, 0]
+        old = tc.svd_at(h, 0.5).s[0]
+        assert abs(new - exact) < abs(old - exact)
+        assert abs(new - exact) < 1e-14 * exact
+
+    def test_dense_values_match_svd_at(self, monkeypatch):
+        h = tc.dynamical_matrix(self.DENSE)
+        assert self.DENSE.channels is None
+        calls = []
+        original = greensvd._det_refined_smallest
+        monkeypatch.setattr(greensvd, "_det_refined_smallest",
+                            lambda *args: calls.append(args) or original(*args))
+        omegas = np.linspace(-1.0, 1.0, 11)
+        got = tc.singular_values(h, omegas)
+        assert len(calls) == 3
+        for w, s in zip(omegas, got):
+            want = tc.svd_at(h, w).s
+            assert np.all(np.diff(s) >= 0)
+            assert np.abs(s - want).max() <= 1e-13 * want[-1]
+            assert abs(s[0] - want[0]) <= 1e-12 * want[0]
+
+    @pytest.mark.parametrize("route", ["channel", "dense"])
+    def test_chunk_size_does_not_change_the_bits(self, route, monkeypatch):
+        h = tc.dynamical_matrix(self.CHANNEL if route == "channel" else self.DENSE)
+        omegas = np.linspace(-2.0, 2.0, 37)
+        whole = tc.singular_values(h, omegas)
+        monkeypatch.setattr(greensvd, "_CHUNK", 5)
+        np.testing.assert_array_equal(tc.singular_values(h, omegas), whole)
+
+    def test_zero_channel_diagonal_is_a_resonance(self):
+        h = tc.dynamical_matrix(tc.build_model_i(tc.ModelIParams(n_sites=6, gamma=2.0)))
+        with pytest.raises(tc.ResonanceError, match="zero diagonal"):
+            tc.singular_values(h, [1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("route", ["channel", "dense"])
+    def test_non_finite_frequency(self, route, bad):
+        h = tc.dynamical_matrix(self.CHANNEL if route == "channel" else self.DENSE)
+        with pytest.raises(ValueError, match="finite"):
+            tc.singular_values(h, [0.0, bad])
+
+    @pytest.mark.parametrize("n", [350, 400], ids=["subnormal", "zero"])
+    def test_underflowing_value_is_a_resonance(self, n):
+        # s0 is about 2 * 8^-n at gamma = 2.5, w = 0: 1.9e-298 at n = 330,
+        # but below the normal doubles at n = 350 and zero at n = 400
+        h = tc.dynamical_matrix(tc.build_model_i(tc.ModelIParams(n_sites=n, gamma=2.5)))
+        with pytest.raises(tc.ResonanceError, match="below the normal doubles"):
+            tc.singular_values(h, [1.0, 0.0])
+
+
 class TestAmplificationMatrix:
     def test_hermitian_psd_no_gain(self, model_i_topo_50):
         t = tc.svd_at(tc.dynamical_matrix(model_i_topo_50), 0.3)
