@@ -1,26 +1,26 @@
 """Two-point correlations: frequency-resolved, equal-time, and their diagnostics.
 
-Frequency-resolved normal and anomalous correlation matrices come straight
-from the singular basis: ``N(w) = Vp* Sigma Vp^T`` and ``M(w) = Vp* Sigma
-Vh^T`` with ``Sigma`` the amplification matrix and ``Vp``/``Vh`` the
-particle/hole blocks of the right singular vectors.  Both are blocks of
-``I(w) = G* D G^T``, which needs only the resolvent ``G = (w*I - H)^{-1}``
-and the noise matrix ``D = diag(P, Gamma) = L L^T``: with ``Y = G* L``,
-``I = Y Y^dagger``.  The long-range-order curve (:func:`lro_curve`) reads
-``N`` and ``M`` off the first rows of that product, many frequencies per
-resolvent batch.  Equal-time matrices integrate ``I`` over all frequencies
-with an adaptive composite Gauss-Legendre rule plus an analytic
-large-frequency tail.  Every generator obeys ``C H* C = -H`` with ``C``
-the particle-hole block swap, so for real ``w`` ``G(-w) = -C G(w)* C``
-and ``I(-w)`` follows from the same resolvent; the rule therefore
-integrates ``I(w) + I(-w)`` over ``[0, W]``.  Every chain evaluates both
-halves with one :func:`resolvent` call per panel: a batched LU solve, or
-on symmetric chains the batched bidiagonal channel SVDs, which resolve the
-exponentially small topological singular value to full relative accuracy.
-The weighted factors of a panel's nodes, side by side, give the panel's
-integral as one Gram product.  ``QuadratureReport.panels`` counts panels
-of ``[-W, W]``, two per folded panel, and a refinement that would need
-more than ``MAX_PANELS`` of them raises :class:`QuadratureError`.
+Every correlation here is a block of ``I(w) = G* D G^T``, with the
+resolvent ``G = (w*I - H)^{-1}`` and the noise matrix ``D = diag(P, Gamma)
+= L L^T`` (:func:`_noise_factor`): with ``Y = G* L``, ``I = Y Y^dagger``,
+and the normal and anomalous matrices ``N(w)``, ``M(w)`` are its first
+``n`` rows.  :func:`freq_correlations` takes ``Y = V* S^{-1} (U^T L)`` from
+an SVD triple, which makes ``N = Vp* Sigma Vp^T`` and ``M = Vp* Sigma
+Vh^T`` with ``Sigma`` the amplification matrix (checked by ``validate``);
+:func:`lro_curve` takes ``Y`` from batched resolvents.  Equal-time matrices
+integrate ``I`` over all frequencies with an adaptive composite
+Gauss-Legendre rule plus an analytic large-frequency tail.  Every generator
+obeys ``C H* C = -H`` with ``C`` the particle-hole block swap, so for real
+``w`` ``G(-w) = -C G(w)* C`` and ``I(-w)`` follows from the same resolvent;
+the rule therefore integrates ``I(w) + I(-w)`` over ``[0, W]``.  Every
+chain evaluates both halves with one :func:`resolvent` call per panel: a
+batched LU solve, or on symmetric chains the batched bidiagonal channel
+SVDs, which resolve the exponentially small topological singular value to
+full relative accuracy.  The weighted factors of a panel's nodes, side by
+side, give the panel's integral as one Gram product.
+``QuadratureReport.panels`` counts panels of ``[-W, W]``, two per folded
+panel, and a refinement that would need more than ``MAX_PANELS`` of them
+raises :class:`QuadratureError`.
 
 Normalization divides every entry by the geometric mean of the
 corresponding diagonal occupations, so normalized diagonals are exactly one
@@ -39,7 +39,7 @@ from numpy.typing import NDArray
 from scipy.linalg.blas import zherk
 
 from .models import CouplingSet, DynamicalMatrix, assert_stable, dynamical_matrix
-from .greensvd import ResonanceError, SvdTriple, amplification_matrix, resolvent
+from .greensvd import ResonanceError, SvdTriple, resolvent
 
 ZERO_OCCUPATION_TOL = 1e-14
 RANK1_VALIDITY_RATIO = 0.1
@@ -148,23 +148,57 @@ def normalized_forms(n_mat, m_mat):
     return n_bar, m_bar, tuple(int(i) for i in np.flatnonzero(dead))
 
 
-def correlation_blocks(t: SvdTriple, c: CouplingSet):
-    """Raw N(w), M(w) from the singular basis (no stability or resonance gate)."""
-    sigma = amplification_matrix(t, c)
-    vp, vh = t.v_particle, t.v_hole
-    left = vp.conj() @ sigma
-    return left @ vp.T, left @ vh.T
+def _noise_factor(c: CouplingSet):
+    """``(times_l, swap)``: ``times_l(x, 0)`` is ``x L`` and ``times_l(x, 1)``
+    is ``x (C L)``, with ``D = diag(P, Gamma) = L L^T``, and ``swap`` is the
+    particle-hole block swap ``C`` as an index map.
 
-
-def freq_correlations(t: SvdTriple, c: CouplingSet) -> FreqCorrelations:
-    """Frequency-resolved normal and anomalous correlations with normalization.
-
-    Requires a dynamically stable chain; sites whose occupation density
-    vanishes (decoupled, lossless) are flagged and excluded from the
-    normalized matrices rather than divided by zero.
+    ``L`` is real, one column per positive eigenvalue of ``D``: a selection
+    and scaling of columns where ``D`` is diagonal (every chain but the
+    effective model's, whose gain matrix couples neighbours), otherwise
+    ``L = Q sqrt(Lambda)``.  It exists only for positive semidefinite ``D``:
+    an eigenvalue below the rounding margin of ``-||D||`` raises
+    ``ValueError`` rather than losing the negative part.
     """
-    assert_stable(c, "freq_correlations")
-    n_mat, m_mat = correlation_blocks(t, c)
+    d = c.noise_matrix
+    diagonal = not np.any(d - np.diag(np.diagonal(d)))
+    vals, vecs = (np.diagonal(d), None) if diagonal else np.linalg.eigh(d)
+    margin = _NOISE_PSD_MARGIN * d.shape[0] * np.finfo(float).eps * np.abs(vals).max()
+    if vals.min() < -margin:
+        raise ValueError(
+            f"the noise matrix diag(P, Gamma) has the negative eigenvalue "
+            f"{vals.min():.6g}; bath rates must be positive semidefinite"
+        )
+    keep = np.flatnonzero(vals > 0)
+    scale = np.sqrt(vals[keep])
+    swap = np.roll(np.arange(2 * c.n), c.n)
+    if diagonal:
+        cols = (keep, swap[keep])
+
+        def times_l(x, swapped):
+            return x[..., cols[swapped]] * scale
+    else:
+        l_mat = vecs[:, keep] * scale
+        l_mats = (l_mat, l_mat[swap])
+
+        def times_l(x, swapped):
+            return x @ l_mats[swapped]
+
+    return times_l, swap
+
+
+def _first_rows(y, n):
+    """``(N, M)``, the first ``n`` rows of ``Y Y^dagger`` (``Y`` may be stacked)."""
+    rows = y[..., :n, :] @ y.conj().swapaxes(-1, -2)
+    return rows[..., :n], rows[..., n:]
+
+
+def _from_triple(t, c, modes):
+    """Correlations from ``Y = V* S^{-1} (U^T L)`` over the singular ``modes``."""
+    if t.s[0] <= 0:
+        raise ResonanceError("correlations undefined at a resonance")
+    y = (t.v[:, modes].conj() / t.s[modes]) @ _noise_factor(c)[0](t.u.T[modes], 0)
+    n_mat, m_mat = _first_rows(y, c.n)
     n_bar, m_bar, excluded = normalized_forms(n_mat, m_mat)
     return FreqCorrelations(
         omega=t.omega, n_mat=n_mat, m_mat=m_mat, n_bar=n_bar, m_bar=m_bar,
@@ -172,12 +206,28 @@ def freq_correlations(t: SvdTriple, c: CouplingSet) -> FreqCorrelations:
     )
 
 
+def freq_correlations(t: SvdTriple, c: CouplingSet) -> FreqCorrelations:
+    """Frequency-resolved normal and anomalous correlations with normalization.
+
+    The first ``n`` rows of ``Y Y^dagger``, ``Y = V* S^{-1} (U^T L)`` (see
+    the module docstring): the paper's ``Vp* Sigma Vp^T`` and ``Vp* Sigma
+    Vh^T``.  Requires a dynamically stable chain and a positive
+    semidefinite noise matrix; sites whose occupation density vanishes
+    (decoupled, lossless) are flagged and excluded from the normalized
+    matrices rather than divided by zero.
+    """
+    assert_stable(c, "freq_correlations")
+    return _from_triple(t, c, slice(None))
+
+
 def rank1_approximation(t: SvdTriple, c: CouplingSet) -> FreqCorrelations:
     """Correlations rebuilt from the smallest singular value alone.
 
-    Valid deep in a topological phase where one singular value is strongly
-    suppressed; emits a warning when ``s0/s1`` exceeds 0.1.
+    :func:`freq_correlations` with ``Y`` cut to singular mode 0.  Valid deep
+    in a topological phase where one singular value is strongly suppressed;
+    emits a warning when ``s0/s1`` exceeds 0.1.
     """
+    fc = _from_triple(t, c, slice(0, 1))
     ratio = t.s[0] / t.s[1] if t.s[1] > 0 else np.inf
     if ratio > RANK1_VALIDITY_RATIO:
         warnings.warn(
@@ -185,16 +235,7 @@ def rank1_approximation(t: SvdTriple, c: CouplingSet) -> FreqCorrelations:
             f"{RANK1_VALIDITY_RATIO}",
             stacklevel=2,
         )
-    sigma00 = amplification_matrix(t, c)[0, 0]
-    v0p = t.v_particle[:, 0]
-    v0h = t.v_hole[:, 0]
-    n_mat = sigma00 * np.outer(v0p.conj(), v0p)
-    m_mat = sigma00 * np.outer(v0p.conj(), v0h)
-    n_bar, m_bar, excluded = normalized_forms(n_mat, m_mat)
-    return FreqCorrelations(
-        omega=t.omega, n_mat=n_mat, m_mat=m_mat, n_bar=n_bar, m_bar=m_bar,
-        excluded_sites=excluded,
-    )
+    return fc
 
 
 # ---------------------------------------------------------------------------
@@ -215,47 +256,14 @@ def _integrand_factory(c: CouplingSet, h: DynamicalMatrix):
     """Return ``factors(omegas) -> (Y(w), Y(-w))``, both stacked over the
     nodes, with the integrand ``I(+-w) = Y Y^dagger``.
 
-    ``I(w) = G*(w) D G(w)^T`` with ``D = diag(P, Gamma)`` the noise matrix,
-    and ``D = L L^T`` with a real ``L`` that has one column per positive
-    eigenvalue of ``D``, so ``Y(w) = G*(w) L``.  A diagonal ``D`` (every
-    chain but the effective model's, whose gain matrix couples neighbours)
-    makes the product with ``L`` a selection and scaling of columns;
-    otherwise ``L = Q sqrt(Lambda)`` from the eigendecomposition.  ``L``
-    exists only for positive semidefinite ``D``: an eigenvalue below the
-    rounding margin of ``-||D||`` raises ``ValueError`` rather than losing
-    the negative part.
-
-    ``G`` comes from one :func:`resolvent` call for all nodes, which takes
-    the chain's route: the bidiagonal channel SVDs on symmetric chains, the
-    LU solve elsewhere.  Every generator obeys ``C H* C = -H`` with ``C``
-    the particle-hole block swap, so for real ``w`` ``G(-w) = -C G(w)* C``
-    and the mirror half needs no second resolvent: ``Y(-w) = C G(w) (C L)``.
+    ``Y(w) = G*(w) L`` with the noise factor of :func:`_noise_factor`, whose
+    check of ``D`` runs once per chain, here.  ``G`` comes from one
+    :func:`resolvent` call for all nodes, which takes the chain's route:
+    the bidiagonal channel SVDs on symmetric chains, the LU solve
+    elsewhere.  As ``G(-w) = -C G(w)* C``, the mirror half needs no second
+    resolvent: ``Y(-w) = C G(w) (C L)``.
     """
-    n = c.n
-    d = c.noise_matrix
-    diagonal = not np.any(d - np.diag(np.diagonal(d)))
-    vals, vecs = (np.diagonal(d), None) if diagonal else np.linalg.eigh(d)
-    margin = _NOISE_PSD_MARGIN * d.shape[0] * np.finfo(float).eps * np.abs(vals).max()
-    if vals.min() < -margin:
-        raise ValueError(
-            f"the noise matrix diag(P, Gamma) has the negative eigenvalue "
-            f"{vals.min():.6g}; bath rates must be positive semidefinite"
-        )
-    keep = np.flatnonzero(vals > 0)
-    scale = np.sqrt(vals[keep])
-    # C as an index map; times_l(x, 0) is x L and times_l(x, 1) is x (C L)
-    swap = np.roll(np.arange(2 * n), n)
-    if diagonal:
-        cols = (keep, swap[keep])
-
-        def times_l(x, swapped):
-            return x[..., cols[swapped]] * scale
-    else:
-        l_mat = vecs[:, keep] * scale
-        l_mats = (l_mat, l_mat[swap])
-
-        def times_l(x, swapped):
-            return x @ l_mats[swapped]
+    times_l, swap = _noise_factor(c)
 
     def factors(omegas):
         g = resolvent(h, omegas)
@@ -402,8 +410,8 @@ def lro_curve(c: CouplingSet, omegas) -> tuple[NDArray, NDArray, NDArray]:
     order of N-bar and M-bar over a grid (see :func:`lro_parameter`).
 
     ``N(w)`` and ``M(w)`` are the first ``n`` rows of ``I(w) = Y Y^dagger``,
-    from the factors of :func:`_integrand_factory`, the values
-    :func:`freq_correlations` reads off the singular basis.  The chain is
+    as in :func:`freq_correlations`, with ``Y`` from the batched resolvents
+    of :func:`_integrand_factory` instead of an SVD.  The chain is
     gated once.  The resolvents come in batches of ``PANEL_NODES``
     frequencies, so the peak memory is that of one quadrature panel.  A
     frequency whose resolvent raises :class:`ResonanceError` is dropped from
@@ -415,9 +423,7 @@ def lro_curve(c: CouplingSet, omegas) -> tuple[NDArray, NDArray, NDArray]:
     n = c.n
 
     def lambdas(ws):
-        y = factors(ws)[0]
-        rows = y[:, :n] @ y.conj().swapaxes(-1, -2)
-        n_bar, m_bar, _ = _normalized(rows[:, :, :n], rows[:, :, n:])
+        n_bar, m_bar, _ = _normalized(*_first_rows(factors(ws)[0], n))
         return [(w, lro_parameter(nb), lro_parameter(mb))
                 for w, nb, mb in zip(ws, n_bar, m_bar)]
 

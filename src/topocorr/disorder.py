@@ -157,11 +157,15 @@ def critical_disorder(sweep: DisorderSweepResult) -> float:
 
     Moving-average smoothing over ``_SMOOTH_WINDOW`` grid points,
     central-difference slope, then parabolic refinement of the grid maximum
-    of ``|slope|``.
+    of ``|slope|``.  A strength with no stable realization (a NaN mean)
+    leaves the slope undefined around it and raises ``ValueError``.
     """
     w, y = sweep.w_grid, sweep.means
     if w.size < 7:
         raise ValueError("need at least 7 grid points to locate the transition")
+    if np.isnan(y).any():
+        missing = ", ".join(f"{x:g}" for x in w[np.isnan(y)])
+        raise ValueError(f"no stable realization at W = {missing}")
     y = np.convolve(y, np.ones(_SMOOTH_WINDOW) / _SMOOTH_WINDOW, mode="valid")
     half = (_SMOOTH_WINDOW - 1) // 2
     w = w[half: half + y.size]

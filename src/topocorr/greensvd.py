@@ -72,14 +72,6 @@ class SvdTriple:
     def u_hole(self):
         return self.u[self.n:]
 
-    @property
-    def v_particle(self):
-        return self.v[: self.n]
-
-    @property
-    def v_hole(self):
-        return self.v[self.n:]
-
 
 @dataclass(frozen=True)
 class GreenFunction:
@@ -338,16 +330,23 @@ def _det_refined_smallest(a, s):
     return float(np.exp(log_s0))
 
 
+def _refine_lone_value(a, s):
+    """Refine ``s[0]`` of ``a``'s ascending singular values ``s`` in place by
+    :func:`_det_refined_smallest` where it is the lone value below
+    ``_DENSE_FLOOR_REL`` of the largest; keep the result only below ``s[1]``."""
+    floor = _DENSE_FLOOR_REL * s[-1]
+    if s[0] < floor < s[1]:
+        refined = _det_refined_smallest(a, s)
+        if refined is not None and refined < s[1]:
+            s[0] = refined
+
+
 def _dense_svd_ascending(a):
     """Dense SVD sorted ascending, with the single-tiny-value refinement."""
     u, s, vh = np.linalg.svd(a)
     order = np.argsort(s, kind="stable")
     u, s, v = u[:, order], s[order], vh.conj().T[:, order]
-    if s[0] < _DENSE_FLOOR_REL * s[-1] and s[1] > _DENSE_FLOOR_REL * s[-1]:
-        refined = _det_refined_smallest(a, s)
-        if refined is not None and refined < s[1]:
-            s = s.copy()
-            s[0] = refined
+    _refine_lone_value(a, s)
     return u, s, v
 
 
@@ -450,15 +449,10 @@ def singular_values(h: DynamicalMatrix, omegas) -> NDArray[np.float64]:
 
 
 def _dense_values(shifted):
-    """Ascending singular values of a stack of dense matrices, each lone
-    value below ``_DENSE_FLOOR_REL`` of its largest refined as in
-    :func:`_dense_svd_ascending`."""
+    """Ascending singular values of stacked dense matrices, by :func:`_refine_lone_value`."""
     s = np.linalg.svd(shifted, compute_uv=False)[:, ::-1]
-    floor = _DENSE_FLOOR_REL * s[:, -1]
-    for i in np.flatnonzero((s[:, 0] < floor) & (s[:, 1] > floor)):
-        refined = _det_refined_smallest(shifted[i], s[i])
-        if refined is not None and refined < s[i, 1]:
-            s[i, 0] = refined
+    for a, row in zip(shifted, s):
+        _refine_lone_value(a, row)
     return s
 
 

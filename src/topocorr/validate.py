@@ -3,7 +3,8 @@
 Each check computes a residual with a fixed threshold; the report carries
 one line per check.  The checks exercise symmetry identities of the
 dynamical matrix, SVD/hermitization duality, resolvent residuals,
-positivity of noise and correlation matrices, the rank-1 dominance of
+positivity of noise and correlation matrices, the singular-basis form of
+the frequency-resolved correlations, the rank-1 dominance of
 topological correlations, perturbation bounds on singular values, the
 closed-form edge oracle, and agreement of the frequency-integrated
 correlations with the direct moment-equation solve.
@@ -115,6 +116,13 @@ def run_validation(n_sites: int = 40, seed: int = 2024) -> ValidationReport:
     add("amplification matrix PSD", _psd_residual(sigma), 1e-8)
     fc = freq_correlations(t0, topo)
     add("N(omega) Hermitian PSD", _psd_residual(fc.n_mat), 1e-8)
+
+    # the Gram form Y Y^dagger of freq_correlations is the paper's singular-basis
+    # identity N = Vp* Sigma Vp^T, M = Vp* Sigma Vh^T
+    left = t0.v[:n_sites].conj() @ sigma
+    res = max(float(np.linalg.norm(got - left @ v.T) / np.linalg.norm(left @ v.T))
+              for got, v in ((fc.n_mat, t0.v[:n_sites]), (fc.m_mat, t0.v[n_sites:])))
+    add("N, M = Vp* Sigma (Vp, Vh)^T", res, 1e-12)
 
     # rank-1 dominance in the topological phase
     r1 = rank1_approximation(t0, topo)

@@ -27,3 +27,11 @@ def effective_ii_g3():
 
 def overlap(a, b):
     return abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
+
+
+def sigma_oracle(t, c):
+    """N(w), M(w) from the paper's singular-basis form ``Vp* Sigma Vp^T``,
+    ``Vp* Sigma Vh^T``, with ``Sigma`` the amplification matrix."""
+    vp, vh = t.v[:c.n], t.v[c.n:]
+    left = vp.conj() @ tc.amplification_matrix(t, c)
+    return left @ vp.T, left @ vh.T

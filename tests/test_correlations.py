@@ -8,6 +8,7 @@ from topocorr import correlations
 from topocorr.correlations import QuadratureSpec, _integrand_factory, normalized_forms
 from topocorr.greensvd import SvdTriple
 from topocorr.lindblad import commutation_residual, steady_state_moments
+from conftest import sigma_oracle
 
 
 def stable_chain(n=8, gamma=5.0, **kw):
@@ -73,6 +74,22 @@ def test_normalized_entries_are_correlation_coefficients(gamma, omega, g_c, n):
     np.testing.assert_allclose(np.diag(fc.n_bar).real, 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("omega", [0.0, -0.32, 0.5])
+@pytest.mark.parametrize("make", [
+    lambda: stable_chain(n=40, gamma=5.0),
+    lambda: tc.build_model_ii_full(tc.ModelIIParams(n_cells=15, gamma=3.0)),
+    lambda: tc.adiabatic_eliminate(tc.ModelIIParams(n_cells=30, gamma=3.0)),
+], ids=["symmetric", "dimer", "effective"])
+def test_freq_correlations_match_singular_basis_form(make, omega):
+    # the Gram form Y Y^dagger against Vp* Sigma (Vp, Vh)^T on the same
+    # triple; the effective model's noise matrix is not diagonal
+    c = make()
+    t = tc.svd_at(tc.dynamical_matrix(c), omega)
+    fc = tc.freq_correlations(t, c)
+    for got, want in zip((fc.n_mat, fc.m_mat), sigma_oracle(t, c)):
+        assert np.linalg.norm(got - want) < 1e-13 * np.linalg.norm(want)
+
+
 class TestRank1Approximation:
     def test_topological_accuracy(self):
         c = stable_chain(n=40, gamma=5.0)
@@ -105,8 +122,7 @@ class TestRank1Approximation:
             gamma_mat=np.zeros((n, n)),
             p_mat=np.diag([0.7, 0.0]),
         )
-        from topocorr.correlations import correlation_blocks
-        n_full, m_full = correlation_blocks(t, c)
+        n_full, m_full = sigma_oracle(t, c)
         r1 = tc.rank1_approximation(t, c)
         assert np.linalg.norm(n_full - r1.n_mat) < 1e-12
         assert np.linalg.norm(m_full - r1.m_mat) < 1e-12
@@ -356,6 +372,11 @@ def test_noise_matrix_must_be_positive_semidefinite():
         tc.equal_time(c)
     with pytest.raises(ValueError, match="negative eigenvalue -0.5"):
         tc.lro_curve(c, [0.0])
+    t = tc.svd_at(tc.dynamical_matrix(c), 0.0)
+    with pytest.raises(ValueError, match="negative eigenvalue -0.5"):
+        tc.freq_correlations(t, c)
+    with pytest.raises(ValueError, match="negative eigenvalue -0.5"):
+        tc.rank1_approximation(t, c)
 
 
 class TestLroParameter:

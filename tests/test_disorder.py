@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import topocorr as tc
-from topocorr.correlations import classify_decay, correlation_blocks, normalized_forms
+from topocorr.correlations import classify_decay, normalized_forms
 from topocorr.disorder import DisorderSweepResult, realization_seed
 from topocorr.greensvd import green_function, svd_at
 from topocorr.models import apply_disorder, dynamical_matrix, gaussian_disorder
+from conftest import sigma_oracle
 
 
 def test_splitmix64_reference_values():
@@ -79,6 +80,15 @@ class TestCriticalDisorder:
         sweep = self.synthetic()
         assert tc.critical_disorder(sweep) == pytest.approx(1.0, abs=0.1)
 
+    @pytest.mark.parametrize("w_missing", [0.3, 1.8])
+    def test_bin_without_stable_draw_rejected(self, w_missing):
+        # a bin whose every draw is unstable has a NaN mean; its neighbours'
+        # slopes are NaN too and must not be taken for the steepest descent
+        sweep = self.synthetic()
+        sweep.means[np.isclose(sweep.w_grid, w_missing)] = np.nan
+        with pytest.raises(ValueError, match=f"W = {w_missing:g}"):
+            tc.critical_disorder(sweep)
+
     def test_flat_curve_rejected(self):
         sweep = DisorderSweepResult(
             w_grid=np.linspace(0, 2, 11), means=np.full(11, 0.5),
@@ -146,7 +156,7 @@ class TestPerturbativeStructure:
                 h = dynamical_matrix(cc)
                 if not tc.is_dynamically_stable(h):
                     continue
-                nm, _ = correlation_blocks(svd_at(h, 0.0), cc)
+                nm, _ = sigma_oracle(svd_at(h, 0.0), cc)
                 nb, _, _ = normalized_forms(nm, nm)
                 acc += np.abs(nb[10])
                 used += 1

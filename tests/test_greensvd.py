@@ -491,6 +491,28 @@ class TestSingularValues:
             assert np.abs(s - want).max() <= 1e-13 * want[-1]
             assert abs(s[0] - want[0]) <= 1e-12 * want[0]
 
+    @pytest.mark.parametrize("values, refined", [
+        ([1e-13, 1e-3, 1.0, 2.0], True),
+        ([1e-13, 1e-12, 1.0, 2.0], False),
+    ], ids=["lone", "pair"])
+    def test_both_dense_routes_refine_only_a_lone_small_value(self, values, refined,
+                                                              monkeypatch):
+        rng = np.random.default_rng(7)
+        q1, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        q2, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        a = (q1 * values) @ q2
+        calls = []
+        original = greensvd._det_refined_smallest
+        monkeypatch.setattr(greensvd, "_det_refined_smallest",
+                            lambda *args: calls.append(args) or original(*args))
+        s_full = greensvd._dense_svd_ascending(a)[1]
+        s_values = greensvd._dense_values(a[None])[0]
+        # one call per route where s0 is the lone value below 1e-10 s_max
+        assert len(calls) == (2 if refined else 0)
+        # the rounding of ``a`` itself moves s0 by about eps ||a||
+        for s in (s_full, s_values):
+            np.testing.assert_allclose(s, values, rtol=1e-2)
+
     @pytest.mark.parametrize("route", ["channel", "dense"])
     def test_chunk_size_does_not_change_the_bits(self, route, monkeypatch):
         h = tc.dynamical_matrix(self.CHANNEL if route == "channel" else self.DENSE)
