@@ -54,7 +54,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -379,9 +379,7 @@ def cmd_winding(cfg: RunConfig) -> int:
         n_k=wcfg["n_k"],
     )
     out = OutputWriter(cfg)
-    out.json("winding.json", {
-        "closings": list(arr.closings), "nus": list(arr.nus), "stable": arr.stable,
-    })
+    out.json("winding.json", asdict(arr))
     nu0 = winding_number(c, 0.0, wcfg["n_k"])
     print(f"winding array: {arr.nus} closings at {[round(float(x), 6) for x in arr.closings]}"
           f" (nu(0) = {nu0})")

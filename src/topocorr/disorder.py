@@ -22,7 +22,7 @@ from .models import (
     dynamical_matrix,
     gaussian_disorder,
 )
-from .greensvd import GreenFunction, r_parameter, svd_at
+from .greensvd import r_parameter, svd_at
 from .correlations import freq_correlations, lro_parameter
 
 _MASK64 = (1 << 64) - 1
@@ -182,48 +182,49 @@ def critical_disorder(sweep: DisorderSweepResult) -> float:
     return float(w[k])
 
 
-def born_self_energy(g0: GreenFunction, w: float) -> NDArray[np.complex128]:
+def born_self_energy(g: NDArray[np.complex128], w: float) -> NDArray[np.complex128]:
     """Leading disorder-averaged self-energy from the clean resolvent.
 
-    ``W^2`` times the block matrix of resolvent diagonals with the signs
-    induced by the (particle, -hole) structure of on-site disorder.
+    ``g`` is the ``2n x 2n`` resolvent at one frequency, ``resolvent(h,
+    [omega])[0]``.  On-site disorder enters the particle block with ``+1``
+    and the hole block with ``-1``, so the self-energy is ``W^2`` times each
+    block's diagonal of ``g``, negated on the off-diagonal blocks.
     """
-    n = g0.n
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    idx = np.arange(n)
-    out[idx, idx] = np.diag(g0.g)
-    out[idx, idx + n] = -np.diag(g0.g_bar)
-    out[idx + n, idx] = -np.diag(g0.g_bar_prime)
-    out[idx + n, idx + n] = np.diag(g0.g_prime)
-    return w**2 * out
+    n = g.shape[0] // 2
+    return w**2 * g * np.kron([[1, -1], [-1, 1]], np.eye(n))
 
 
 _BULK_HOMOGENEITY_TOL = 1e-2
 
 
 def effective_parameters(
-    g0: GreenFunction, base: ModelIParams, w: float
+    g: NDArray[np.complex128], base: ModelIParams, w: float
 ) -> EffectiveParams:
     """Born-renormalized chain parameters for weak on-site disorder.
 
-    Uses the clean resolvent diagonal at a bulk site (the chain midpoint):
+    ``g`` is the clean ``2n x 2n`` resolvent of ``base`` at one frequency,
+    ``resolvent(h, [omega])[0]``; any other shape raises ``ValueError``.
+    Uses its diagonal at a bulk site (the chain midpoint):
     ``delta_eff = delta + W^2 Re(G_ii)``, ``gamma_eff = gamma - 2 W^2
-    Im(G_ii)``, ``g_s_eff = g_s - W^2 Gbar_ii``.  Only meaningful in the
+    Im(G_ii)``, ``g_s_eff = g_s - W^2 Gbar_ii``, with ``G`` the particle
+    block and ``Gbar`` the particle-hole block.  Only meaningful in the
     symmetric regime where the resolvent diagonal is spatially homogeneous;
     homogeneity over the middle third of the chain is verified first.
     """
+    n = base.n_sites
+    if g.shape != (2 * n, 2 * n):
+        raise ValueError(f"resolvent of shape {g.shape} for a {n}-site chain")
     if not base.symmetric_regime:
         raise ValueError("effective parameters are derived for the symmetric regime")
-    n = g0.n
     i0 = n // 2
-    bulk = np.diag(g0.g)[n // 3: 2 * n // 3]
+    bulk = np.diag(g)[n // 3: 2 * n // 3]
     spread = float(np.max(np.abs(bulk - bulk.mean())))
     if spread > _BULK_HOMOGENEITY_TOL * max(abs(bulk.mean()), 1e-30):
         raise ValueError(
             f"resolvent diagonal is not homogeneous in the bulk (spread {spread:.2e})"
         )
-    g_ii = g0.g[i0, i0]
-    gbar_ii = g0.g_bar[i0, i0]
+    g_ii = g[i0, i0]
+    gbar_ii = g[i0, i0 + n]
     return EffectiveParams(
         delta_eff=float(base.delta + w**2 * g_ii.real),
         gamma_eff=float(base.gamma - 2 * w**2 * g_ii.imag),

@@ -1,31 +1,32 @@
-"""SVD of the shifted dynamical matrix, Green's functions, and spectral scalars.
+"""SVD of the shifted dynamical matrix, its resolvent, and spectral scalars.
 
-All frequency-domain quantities descend from the factorization
-``w*I - H = U S V^dagger`` with singular values stored ascending, so
-``s[0]`` is always the candidate topological zero.  The Green's function is
-``V diag(1/s) U^dagger`` and the amplification matrix contracts the bath
-moments with the left singular vectors.  Paths that need ``G`` alone can
-take :func:`resolvent`, which returns it for many frequencies at once, and
-paths that need the values alone (the OBC spectrum) take
-:func:`singular_values`, batched the same way and with no vectors.
+Each frequency-domain quantity has one entry point.  :func:`svd_at` returns
+the triple of ``w*I - H = U S V^dagger``, singular values stored ascending
+so ``s[0]`` is always the candidate topological zero, and the
+amplification matrix contracts the bath moments with its left singular
+vectors.  :func:`resolvent` returns ``G = (w*I - H)^{-1}`` for many
+frequencies at once, and :func:`singular_values` returns the values alone
+(the OBC spectrum), batched the same way and with no vectors.  The identity
+``G = V diag(1/s) U^dagger`` is not a second route to ``G``: ``validate``
+checks it, the resolvent against the triple.
 
 For the symmetric chain (pure imaginary uniform hopping matching the
 off-diagonal pairing, zero detuning, uniform loss, no gain) the shifted
 matrix splits into two bidiagonal channels,
 ``w*I - H = T diag(B+, B-) T^dagger`` with
 ``T = [[I, I], [iI, -iI]]/sqrt(2)``.  The chain records this once
-(``CouplingSet.channels``), and both ``factorize`` and ``resolvent`` then
+(``CouplingSet.channels``), and both ``svd_at`` and ``resolvent`` then
 route through phase-rescaled real bidiagonal Toeplitz SVDs of the channels.
 Those have a closed form, the roots of one secular equation (Yueh, Appl.
 Math. E-Notes 5, 66 (2005)), solved for every mode of every frequency of a
 batch at once; it resolves the exponentially small topological singular
 value to full relative accuracy, where the generic dense SVD only bounds
-its error in units of ``eps * s_max``.  In ``factorize`` and ``resolvent``
+its error in units of ``eps * s_max``.  In ``svd_at`` and ``resolvent``
 values below ``1e-12 s_max`` still take their triple from the explicit
 inverse, and one too small for that refinement to represent raises
 :class:`ResonanceError`; ``singular_values`` keeps the closed-form values
 and raises only for one below the normal doubles.  Other chains take the
-refined dense SVD in ``factorize``, a batched LU solve in ``resolvent``
+refined dense SVD in ``svd_at``, a batched LU solve in ``resolvent``
 and a batched values-only SVD in ``singular_values``.
 """
 
@@ -40,7 +41,6 @@ from numpy.typing import NDArray
 from .analytics import edge_exponent, secular_angles
 from .models import CouplingSet, DynamicalMatrix
 
-RESONANCE_TOL = 1e-14
 _GAUGE_ANCHOR_REL = 1e-8
 _INVERSE_REFINE_REL = 1e-12
 # frequencies per batch of singular_values, as correlations.PANEL_NODES
@@ -63,42 +63,6 @@ class SvdTriple:
     @property
     def n(self) -> int:
         return self.s.size // 2
-
-    @property
-    def u_particle(self):
-        return self.u[: self.n]
-
-    @property
-    def u_hole(self):
-        return self.u[self.n:]
-
-
-@dataclass(frozen=True)
-class GreenFunction:
-    """Resolvent ``(w*I - H)^{-1}`` with its four site-space blocks."""
-
-    omega: float
-    g_full: NDArray[np.complex128]
-
-    @property
-    def n(self) -> int:
-        return self.g_full.shape[0] // 2
-
-    @property
-    def g(self):
-        return self.g_full[: self.n, : self.n]
-
-    @property
-    def g_bar(self):
-        return self.g_full[: self.n, self.n:]
-
-    @property
-    def g_bar_prime(self):
-        return self.g_full[self.n:, : self.n]
-
-    @property
-    def g_prime(self):
-        return self.g_full[self.n:, self.n:]
 
 
 def _toeplitz_values(a, b, n):
@@ -360,28 +324,11 @@ def _fix_gauge(u, v):
     return u * phases, v * phases
 
 
-def factorize(h: DynamicalMatrix, omega: float):
-    """``(u, s, v)`` with ``omega*I - H = u diag(s) v^dagger``, ``s`` ascending.
-
-    Takes the two-channel route when the chain has symmetric channels
-    (``CouplingSet.channels``) and the refined dense SVD otherwise.  The
-    phase gauge is left as the factorization returns it.
-    """
-    channels = h.source.channels
-    if channels is not None:
-        (up, sp, vp), (um, sm, vm) = _channel_svd([omega], *channels, h.n)
-        return _channel_triple((up[0], sp[0], vp[0]), (um[0], sm[0], vm[0]))
-    try:
-        return _dense_svd_ascending(omega * np.eye(2 * h.n) - h.h)
-    except np.linalg.LinAlgError as exc:
-        raise ResonanceError(f"SVD failed to converge at omega={omega}") from exc
-
-
 def resolvent(h: DynamicalMatrix, omegas) -> NDArray[np.complex128]:
     """Stacked resolvents ``(w*I - H)^{-1}`` for a 1-D array of frequencies.
 
     For paths that need only ``G`` and not the full singular basis.  The
-    route follows the chain, as in :func:`factorize`.  On symmetric chains
+    route follows the chain, as in :func:`svd_at`.  On symmetric chains
     ``G = T diag(G+, G-) T^dagger`` with ``G+- = V+- S+-^{-1} U+-^dagger``
     from the channel SVDs, which carry the exponentially small topological
     value to full relative accuracy.  Elsewhere one batched LU solve against
@@ -481,28 +428,23 @@ def _channel_resolvent(omegas, channels, n):
 def svd_at(h: DynamicalMatrix, omega: float) -> SvdTriple:
     """Full SVD of ``omega*I - H`` with ascending singular values.
 
-    The phase gauge of each singular-vector pair is fixed deterministically
+    Takes the two-channel route when the chain has symmetric channels
+    (``CouplingSet.channels``) and the refined dense SVD otherwise.  The
+    phase gauge of each singular-vector pair is fixed deterministically
     (see :func:`_fix_gauge`); comparisons against analytic vectors should
     still use overlap magnitudes since degenerate subspaces remain free.
     """
-    u, s, v = factorize(h, omega)
+    channels = h.source.channels
+    if channels is not None:
+        (up, sp, vp), (um, sm, vm) = _channel_svd([omega], *channels, h.n)
+        u, s, v = _channel_triple((up[0], sp[0], vp[0]), (um[0], sm[0], vm[0]))
+    else:
+        try:
+            u, s, v = _dense_svd_ascending(omega * np.eye(2 * h.n) - h.h)
+        except np.linalg.LinAlgError as exc:
+            raise ResonanceError(f"SVD failed to converge at omega={omega}") from exc
     u, v = _fix_gauge(u, v)
     return SvdTriple(omega=float(omega), u=u, s=s, v=v)
-
-
-def green_function(t: SvdTriple) -> GreenFunction:
-    """Resolvent from the SVD: ``V diag(1/s) U^dagger``.
-
-    Raises :class:`ResonanceError` if any singular value sits below the
-    resonance threshold; exponentially small topological values above it
-    are legitimate and simply produce large amplification.
-    """
-    if t.s[0] < RESONANCE_TOL:
-        raise ResonanceError(
-            f"omega={t.omega} is numerically resonant (s0={t.s[0]:.3e})"
-        )
-    g_full = (t.v / t.s) @ t.u.conj().T
-    return GreenFunction(omega=t.omega, g_full=g_full)
 
 
 def amplification_matrix(t: SvdTriple, c: CouplingSet) -> NDArray[np.complex128]:
@@ -513,10 +455,8 @@ def amplification_matrix(t: SvdTriple, c: CouplingSet) -> NDArray[np.complex128]
     """
     if t.s[0] <= 0:
         raise ResonanceError("amplification matrix undefined at a resonance")
-    core = (
-        t.u_particle.T @ c.p_mat @ t.u_particle.conj()
-        + t.u_hole.T @ c.gamma_mat @ t.u_hole.conj()
-    )
+    u_p, u_h = t.u[: t.n], t.u[t.n:]
+    core = u_p.T @ c.p_mat @ u_p.conj() + u_h.T @ c.gamma_mat @ u_h.conj()
     return core / np.outer(t.s, t.s)
 
 

@@ -28,7 +28,7 @@ grid, so both scans visit the same k-points and reach the same arrays.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -65,15 +65,8 @@ class WindingArray:
             raise ValueError("closings must be ascending")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"closings": list(self.closings), "nus": list(self.nus), "stable": self.stable}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "WindingArray":
-        d = json.loads(text)
-        return cls(closings=tuple(d["closings"]), nus=tuple(int(x) for x in d["nus"]),
-                   stable=bool(d["stable"]))
+        """The JSON body of the CLI's ``winding.json``."""
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _horner(coefs, x):
@@ -258,8 +251,8 @@ def count_edge_modes_obc(t, nu_abs: int) -> int:
     to the bulk when ``|nu|`` edge modes are present.  Returns zero when
     ``nu_abs`` is zero (no threshold is defined in a trivial phase).
     """
-    if nu_abs < 0:
-        raise ValueError("nu_abs must be nonnegative")
+    if not 0 <= nu_abs < t.s.size:
+        raise ValueError(f"nu_abs={nu_abs} out of range for {t.s.size} values")
     if nu_abs == 0:
         return 0
     threshold = t.s[nu_abs] / 10.0

@@ -16,7 +16,7 @@ import pytest
 
 import topocorr as tc
 from topocorr.correlations import QuadratureSpec, classify_decay, equal_time, freq_correlations
-from topocorr.greensvd import green_function, singular_gap, svd_at
+from topocorr.greensvd import resolvent, singular_gap, svd_at
 from topocorr.lindblad import steady_state_moments
 from topocorr.models import dynamical_matrix
 from topocorr.validate import run_validation
@@ -280,7 +280,7 @@ class TestCriterion10BornRenormalization:
     def test_renormalized_r_matches_ensemble(self):
         n, gamma = 100, 5.0
         base = tc.build_model_i(tc.ModelIParams(n_sites=n, gamma=gamma))
-        g0 = green_function(svd_at(dynamical_matrix(base), 0.0))
+        g0 = resolvent(dynamical_matrix(base), [0.0])[0]
         lines = []
         worst = 0.0
         for w in (0.25, 0.5, 0.75):

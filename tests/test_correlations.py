@@ -205,16 +205,17 @@ def gram(y):
 def oracle_channel_integrand(c, h):
     """The folded integrand factors of a symmetric chain as the quadrature
     took them before the channel route of ``resolvent``: from one full
-    factorization per node, taken independently at ``+w`` and at ``-w``,
-    ``Y = V* S^{-1} U_h^T sqrt(Gamma)``, so that ``Y Y^dagger = V* Sigma
+    SVD per node, taken independently at ``+w`` and at ``-w``,
+    ``Y = V* S^{-1} U_h^T sqrt(Gamma)`` (the gauge phases of ``svd_at``
+    cancel in each product), so that ``Y Y^dagger = V* Sigma
     V^T`` (symmetric chains have no gain, so no P term, and a uniform
     diagonal Gamma)."""
     n = c.n
     root_gamma = np.sqrt(np.diag(c.gamma_mat))
 
     def node(omega):
-        u, s, v = tc.factorize(h, omega)
-        return (v.conj() / s) @ (u[n:].T * root_gamma)
+        t = tc.svd_at(h, omega)
+        return (t.v.conj() / t.s) @ (t.u[n:].T * root_gamma)
 
     def factors(omegas):
         return np.stack([node(w) for w in omegas]), np.stack([node(-w) for w in omegas])

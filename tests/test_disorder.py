@@ -4,7 +4,7 @@ import pytest
 import topocorr as tc
 from topocorr.correlations import classify_decay, normalized_forms
 from topocorr.disorder import DisorderSweepResult, realization_seed
-from topocorr.greensvd import green_function, svd_at
+from topocorr.greensvd import resolvent, svd_at
 from topocorr.models import apply_disorder, dynamical_matrix, gaussian_disorder
 from conftest import sigma_oracle
 
@@ -179,7 +179,7 @@ class TestPerturbativeStructure:
 
 @pytest.fixture(scope="module")
 def g0(model_i_g5_100):
-    return green_function(svd_at(dynamical_matrix(model_i_g5_100), 0.0))
+    return resolvent(dynamical_matrix(model_i_g5_100), [0.0])[0]
 
 
 class TestBornRenormalization:
@@ -189,15 +189,15 @@ class TestBornRenormalization:
 
     def test_block_structure(self, g0):
         m = tc.born_self_energy(g0, 0.5)
-        n = g0.n
-        np.testing.assert_allclose(np.diag(m[:n, :n]), 0.25 * np.diag(g0.g))
-        np.testing.assert_allclose(np.diag(m[:n, n:]), -0.25 * np.diag(g0.g_bar))
+        n = g0.shape[0] // 2
+        np.testing.assert_allclose(np.diag(m[:n, :n]), 0.25 * np.diag(g0[:n, :n]))
+        np.testing.assert_allclose(np.diag(m[:n, n:]), -0.25 * np.diag(g0[:n, n:]))
         off = m - np.diag(np.diag(m)) \
             - np.diag(np.diag(m, n), n) - np.diag(np.diag(m, -n), -n)
         assert np.linalg.norm(off) == 0.0
 
     def test_bulk_diagonal_homogeneous(self, g0):
-        bulk = np.diag(g0.g)[20:80]
+        bulk = np.diag(g0)[20:80]
         assert np.max(np.abs(bulk - bulk.mean())) < 1e-3
 
     def test_rank1_blocks_locked_by_symmetry(self, model_i_g5_100):
@@ -223,19 +223,55 @@ class TestBornRenormalization:
     def test_loss_increases_under_renormalization(self, g0):
         params = tc.ModelIParams(n_sites=100, gamma=5.0)
         eff = tc.effective_parameters(g0, params, 0.5)
-        assert np.imag(g0.g[50, 50]) < 0
+        assert np.imag(g0[50, 50]) < 0
         assert eff.gamma_eff > params.gamma
 
     def test_requires_symmetric_regime(self, g0):
         with pytest.raises(ValueError):
             tc.effective_parameters(g0, tc.ModelIParams(n_sites=100, gamma=5.0, delta=0.3), 0.1)
 
+    def test_rejects_a_resolvent_of_another_size(self, g0):
+        with pytest.raises(ValueError, match="shape"):
+            tc.effective_parameters(g0, tc.ModelIParams(n_sites=50, gamma=5.0), 0.1)
+        with pytest.raises(ValueError, match="shape"):
+            tc.effective_parameters(g0[:100], tc.ModelIParams(n_sites=100, gamma=5.0), 0.1)
+
+    @pytest.mark.parametrize("n,gamma", [(50, 4.0), (100, 4.0), (100, 5.0)])
+    def test_born_inputs_match_the_closed_form(self, n, gamma):
+        # the channels B+- are bidiagonal Toeplitz, so G+- = B+-^{-1} are
+        # triangular Toeplitz with diagonal 1/d+- for d+- = w + i kappa+-,
+        # kappa+- = gamma/2 -+ g_s; at gamma = 4 the resolvent norm reaches
+        # 1e29 and the topological singular value 1e-15.  The sites checked
+        # are the middle third that effective_parameters reads; resolvent is
+        # accurate normwise, and the diagonal at the first site of the n=100,
+        # gamma=5 chain is off by 3e-4 relative.
+        w, omega = 0.5, 0.0
+        params = tc.ModelIParams(n_sites=n, gamma=gamma)
+        c = tc.build_model_i(params)
+        _, g_s, _ = c.channels
+        inv_plus = 1 / (omega + 1j * (gamma / 2 - g_s))
+        inv_minus = 1 / (omega + 1j * (gamma / 2 + g_s))
+        g_ii = (inv_plus + inv_minus) / 2
+        gbar_ii = -1j * (inv_plus - inv_minus) / 2
+        g = resolvent(dynamical_matrix(c), [omega])[0]
+        m = tc.born_self_energy(g, w)
+        bulk = slice(n // 3, 2 * n // 3)
+        for got, want in ((m[:n, :n], w**2 * g_ii), (m[:n, n:], -w**2 * gbar_ii),
+                          (m[n:, :n], w**2 * gbar_ii), (m[n:, n:], w**2 * g_ii)):
+            assert np.max(np.abs(np.diag(got)[bulk] - want)) <= 1e-13 * abs(want)
+        eff = tc.effective_parameters(g, params, w)
+        # Re G_ii vanishes at omega = 0, so delta_eff is measured against |G_ii|
+        assert abs(eff.delta_eff - w**2 * g_ii.real) <= 1e-13 * w**2 * abs(g_ii)
+        for got, want in ((eff.gamma_eff, gamma - 2 * w**2 * g_ii.imag),
+                          (eff.g_s_eff, g_s - w**2 * gbar_ii)):
+            assert abs(got - want) <= 1e-13 * abs(want)
+
     def test_renormalized_r_tracks_ensemble_near_transition(self):
         # the effective parameters push the chain toward the transition the
         # same way the averaged ensemble moves
         n, gamma, w = 60, 5.6, 0.5
         base = tc.build_model_i(tc.ModelIParams(n_sites=n, gamma=gamma))
-        g0 = green_function(svd_at(dynamical_matrix(base), 0.0))
+        g0 = resolvent(dynamical_matrix(base), [0.0])[0]
         eff = tc.effective_parameters(g0, tc.ModelIParams(n_sites=n, gamma=gamma), w)
         c_eff = tc.build_model_i(tc.ModelIParams(
             n_sites=n, gamma=eff.gamma_eff, delta=eff.delta_eff,

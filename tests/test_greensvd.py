@@ -40,7 +40,7 @@ def oracle_channel_svd(omega, j, g_s, gamma, n):
 
 def channel_matrices(omega, j, g_s, gamma, n):
     """B+ (lower) and B- (upper) bidiagonal Toeplitz, as ``_channel_svd``
-    factorizes them."""
+    decomposes them."""
     eye, sub = np.eye(n), np.eye(n, k=-1)
     plus = (omega + 1j * (gamma / 2 - g_s)) * eye - 2j * j * sub
     minus = (omega + 1j * (gamma / 2 + g_s)) * eye + 2j * j * sub.T
@@ -79,21 +79,6 @@ class TestChannelVerdict:
         assert chain.channels is None
 
 
-class TestFactorize:
-    @pytest.mark.parametrize("chain", [
-        tc.build_model_i(tc.ModelIParams(n_sites=12, gamma=4.0)),
-        tc.build_model_i(tc.ModelIParams(n_sites=12, phi=1.2, gamma=4.0)),
-    ], ids=["channel", "dense"])
-    def test_svd_at_is_factorize_with_the_gauge_fixed(self, chain):
-        h = tc.dynamical_matrix(chain)
-        u, s, v = tc.factorize(h, 0.4)
-        t = tc.svd_at(h, 0.4)
-        np.testing.assert_array_equal(s, t.s)
-        # the gauge fix multiplies each column by a unit phase
-        np.testing.assert_allclose(np.abs(u), np.abs(t.u), rtol=0, atol=1e-15)
-        np.testing.assert_allclose(np.abs(v), np.abs(t.v), rtol=0, atol=1e-15)
-
-
 class TestChannelSvd:
     # n=40, gamma=3: the inverse refinement fires on the plus channel for
     # |w| < 0.87 or so, and not elsewhere
@@ -116,9 +101,6 @@ class TestChannelSvd:
         for w in self.OMEGAS:
             w = scalar(w)
             u, s, v = oracle_channel_svd(w, *self.CHAIN.channels, 40)
-            got = tc.factorize(h, w)
-            for a, b in zip(got, (u, s, v)):
-                np.testing.assert_array_equal(a, b)
             t = tc.svd_at(h, w)
             u, v = greensvd._fix_gauge(u, v)
             np.testing.assert_array_equal(t.s, s)
@@ -353,38 +335,31 @@ def test_hole_blocks_proportional_at_symmetric_point():
 
 class TestGreenFunction:
     def test_pure_loss_inverse(self):
-        t = tc.svd_at(tc.dynamical_matrix(pure_loss_chain()), 0.0)
-        g = tc.green_function(t)
-        np.testing.assert_allclose(g.g_full, -1j * np.eye(8), atol=1e-14)
+        g = tc.resolvent(tc.dynamical_matrix(pure_loss_chain()), [0.0])[0]
+        np.testing.assert_allclose(g, -1j * np.eye(8), atol=1e-14)
 
     def test_residual(self):
         c = tc.build_model_i(tc.ModelIParams(n_sites=60, gamma=5.0))
         h = tc.dynamical_matrix(c)
-        g = tc.green_function(tc.svd_at(h, 0.7))
+        g = tc.resolvent(h, [0.7])[0]
         a = 0.7 * np.eye(120) - h.h
-        assert np.linalg.norm(a @ g.g_full - np.eye(120), "fro") < 1e-8
+        assert np.linalg.norm(a @ g - np.eye(120), "fro") < 1e-8
 
     def test_phs_block_relations(self):
         c = tc.build_model_i(tc.ModelIParams(n_sites=30, gamma=5.0))
-        h = tc.dynamical_matrix(c)
-        gp = tc.green_function(tc.svd_at(h, 0.3))
-        gm = tc.green_function(tc.svd_at(h, -0.3))
-        assert np.linalg.norm(gp.g_prime + gm.g.conj()) < 1e-8
-        assert np.linalg.norm(gp.g_bar_prime + gm.g_bar.conj()) < 1e-8
-
-    def test_resonance_guard(self, model_i_topo_50):
-        # the topological singular value at this size sits below the guard
-        t = tc.svd_at(tc.dynamical_matrix(model_i_topo_50), 0.0)
-        assert t.s[0] < 1e-14
-        with pytest.raises(tc.ResonanceError):
-            tc.green_function(t)
+        gp, gm = tc.resolvent(tc.dynamical_matrix(c), [0.3, -0.3])
+        n = 30
+        # G'(w) = -G(-w)* and Gbar'(w) = -Gbar(-w)*
+        assert np.linalg.norm(gp[n:, n:] + gm[:n, :n].conj()) < 1e-8
+        assert np.linalg.norm(gp[n:, :n] + gm[:n, n:].conj()) < 1e-8
 
     def test_collective_mode_identity(self):
         c = tc.build_model_i(tc.ModelIParams(n_sites=30, gamma=5.0))
-        t = tc.svd_at(tc.dynamical_matrix(c), 0.5)
-        g = tc.green_function(t)
+        h = tc.dynamical_matrix(c)
+        t = tc.svd_at(h, 0.5)
+        g = tc.resolvent(h, [0.5])[0]
         target = np.diag(1.0 / t.s)
-        res = np.linalg.norm(t.v.conj().T @ g.g_full @ t.u - target, "fro")
+        res = np.linalg.norm(t.v.conj().T @ g @ t.u - target, "fro")
         assert res < 1e-9 * np.linalg.norm(target, "fro")
 
 
@@ -403,10 +378,11 @@ class TestResolvent:
         for w, gw in zip(self.OMEGAS, g):
             assert np.linalg.norm((w * eye - h.h) @ gw - eye) < 1e-12
 
-    def test_matches_svd_green_function(self):
+    def test_matches_the_svd_identity(self):
         h = tc.dynamical_matrix(tc.build_model_i(tc.ModelIParams(n_sites=12, gamma=5.0)))
         for w, gw in zip(self.OMEGAS, tc.resolvent(h, self.OMEGAS)):
-            ref = tc.green_function(tc.svd_at(h, w)).g_full
+            t = tc.svd_at(h, w)
+            ref = (t.v / t.s) @ t.u.conj().T
             assert np.linalg.norm(gw - ref) < 1e-10 * np.linalg.norm(ref)
 
     def test_channel_route_matches_the_closed_form_inverse(self, monkeypatch):

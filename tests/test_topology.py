@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import topocorr as tc
-from topocorr import models, topology
+from topocorr import cli, models, topology
 from topocorr.topology import WindingArray
 
 
@@ -78,10 +78,14 @@ class TestWindingArray:
         with pytest.raises(ValueError):
             tc.winding_array(model_i(4.0), omega_max=1.0, n_omega=51)
 
-    def test_json_round_trip(self):
-        arr = tc.winding_array(model_i(4.0), n_omega=201)
-        back = WindingArray.from_json(arr.to_json())
-        assert back == arr
+    def test_to_json_is_the_cli_file_body(self, tmp_path):
+        assert cli.main([
+            "winding", "--model", "model_i", "--gamma", "4.0", "--n-sites", "2",
+            "--omega-count", "201", "--out", str(tmp_path),
+        ]) == cli.EXIT_OK
+        header, body = (tmp_path / "winding.json").read_text().splitlines()
+        assert header.startswith("# topocorr")
+        assert body == tc.winding_array(model_i(4.0), n_omega=201).to_json()
 
     def test_length_consistency_enforced(self):
         with pytest.raises(ValueError):
@@ -374,3 +378,10 @@ class TestEdgeModeCount:
     def test_two_modes(self, effective_ii_g3):
         t = tc.svd_at(tc.dynamical_matrix(effective_ii_g3), 0.0)
         assert tc.count_edge_modes_obc(t, 2) == 2
+
+    @pytest.mark.parametrize("nu_abs", [-1, 10, 25])
+    def test_nu_abs_outside_the_spectrum_rejected(self, nu_abs):
+        t = tc.svd_at(tc.dynamical_matrix(model_i(4.0, n=5)), 0.0)
+        assert t.s.size == 10
+        with pytest.raises(ValueError, match="nu_abs"):
+            tc.count_edge_modes_obc(t, nu_abs)
