@@ -18,34 +18,32 @@ from topocorr.greensvd import svd_at
 from topocorr.models import dynamical_matrix
 
 
-def frequency_rows(n_sites, gammas, reference, out_path):
+def frequency_rows(n_sites, chains, reference, out_path):
     cols = {}
-    for gamma in gammas:
-        c = tc.build_model_i(tc.ModelIParams(n_sites=n_sites, gamma=gamma))
+    for gamma, c in chains.items():
         fc = freq_correlations(svd_at(dynamical_matrix(c), 0.0), c)
         cols[gamma] = np.abs(fc.n_bar[reference])
         print(f"frequency-resolved row done for gamma={gamma}")
     with open(out_path, "w", newline="\n") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["site"] + [f"gamma_{g}" for g in gammas])
+        writer.writerow(["site"] + [f"gamma_{g}" for g in chains])
         for j in range(n_sites):
-            writer.writerow([j] + [f"{cols[g][j]:.8f}" for g in gammas])
+            writer.writerow([j] + [f"{cols[g][j]:.8f}" for g in chains])
 
 
-def equal_time_rows(n_sites, gammas, reference, out_path):
+def equal_time_rows(n_sites, chains, reference, out_path):
     cols = {}
-    for gamma in gammas:
-        c = tc.build_model_i(tc.ModelIParams(n_sites=n_sites, gamma=gamma))
+    for gamma, c in chains.items():
         et = equal_time(c)
         cols[gamma] = np.abs(et.n_bar[reference])
         print(f"equal-time row done for gamma={gamma} "
               f"({et.quadrature_report.panels} panels)")
     with open(out_path, "w", newline="\n") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["site", "gaussian_envelope"] + [f"gamma_{g}" for g in gammas])
+        writer.writerow(["site", "gaussian_envelope"] + [f"gamma_{g}" for g in chains])
         for j in range(n_sites):
             envelope = tc.gaussian_prediction(reference, j) if j >= 1 else ""
-            writer.writerow([j, envelope] + [f"{cols[g][j]:.8f}" for g in gammas])
+            writer.writerow([j, envelope] + [f"{cols[g][j]:.8f}" for g in chains])
 
 
 def main():
@@ -58,7 +56,13 @@ def main():
     args = parser.parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    stable = [g for g in args.gammas if g > 2.0]
+    stable = {}
+    for gamma in args.gammas:
+        c = tc.build_model_i(tc.ModelIParams(n_sites=args.n_sites, gamma=gamma))
+        if c.stability.stable:
+            stable[gamma] = c
+        else:
+            print(f"skipped gamma={gamma}: no steady state ({c.stability.route} verdict)")
     frequency_rows(args.n_sites, stable, args.reference, out / "frequency_rows.csv")
     equal_time_rows(args.n_sites, stable, args.reference, out / "equal_time_rows.csv")
     print(f"wrote profiles to {out}/")

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.typing import NDArray
-from scipy.linalg.blas import zherk
+import scipy
 
 from .models import CouplingSet, DynamicalMatrix, assert_stable, dynamical_matrix
 from .greensvd import ResonanceError, SvdTriple, resolvent
@@ -248,7 +248,7 @@ def _gram(z):
     One BLAS ``zherk`` computes one triangle, reading the transpose of ``z``
     in place: the rank-k update gives ``conj(z z^dagger)``.
     """
-    upper = zherk(1.0, z.T, trans=2)
+    upper = scipy.linalg.blas.zherk(1.0, z.T, trans=2)
     return np.triu(upper).conj() + np.triu(upper, 1).T
 
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from numpy.typing import NDArray
 
 from .analytics import edge_exponent, secular_angles
@@ -218,9 +217,9 @@ def _smallest_triple_via_inverse(n, diag, offdiag, lower):
     if log_biggest > 650.0:
         return None, None, None
     col = ratio ** np.arange(n) / diag
-    first = np.zeros(n, dtype=complex)
-    first[0] = col[0]
-    inv = scipy.linalg.toeplitz(col, first) if lower else scipy.linalg.toeplitz(first, col)
+    # entry (i, j) of the lower inverse is col[i - j]; the upper one is its transpose
+    toeplitz = col[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
+    inv = np.tril(toeplitz) if lower else np.triu(toeplitz)
     u_inv, s_inv, vh_inv = np.linalg.svd(inv)
     # B = V Sigma^{-1} U+ when B^{-1} = U Sigma V+, so the smallest triple of
     # B is (1/sigma_max, V[:, 0], U[:, 0]).

@@ -12,7 +12,7 @@ the independent cross-check used by the validation suite and the tests.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_sylvester
+import scipy
 
 from .models import CouplingSet, assert_stable, dynamical_matrix
 
@@ -27,7 +27,7 @@ def steady_state_moments(c: CouplingSet):
     assert_stable(c, "steady_state_moments")
     h = dynamical_matrix(c)
     n = c.n
-    cmat = solve_sylvester(h.h.conj(), -h.h.T, 1j * c.noise_matrix)
+    cmat = scipy.linalg.solve_sylvester(h.h.conj(), -h.h.T, 1j * c.noise_matrix)
     return cmat[:n, :n], cmat[:n, n:], cmat
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+import scipy
 from numpy.typing import NDArray
 
 HERMITICITY_TOL = 1e-12
@@ -153,7 +153,11 @@ class CouplingSet:
     @property
     def noise_matrix(self) -> NDArray[np.float64]:
         """Block-diagonal bath moment matrix diag(P, Gamma)."""
-        return scipy.linalg.block_diag(self.p_mat, self.gamma_mat)
+        n = self.n
+        out = np.zeros((2 * n, 2 * n), dtype=np.result_type(self.p_mat, self.gamma_mat))
+        out[:n, :n] = self.p_mat
+        out[n:, n:] = self.gamma_mat
+        return out
 
     @cached_property
     def stability(self) -> StabilityVerdict:

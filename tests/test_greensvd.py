@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import warnings
 
 from hypothesis import example, given, settings
@@ -238,6 +239,38 @@ class TestClosedFormChannelSvd:
             with pytest.raises(tc.ResonanceError, match="zero diagonal"):
                 tc.resolvent(h, np.array([1.0, 0.0]))
             assert tc.svd_at(h, 1e-3).s[0] > 0
+
+
+class TestInverseRefinement:
+    @pytest.mark.parametrize("lower", [True, False], ids=["lower", "upper"])
+    def test_inverse_is_scipy_toeplitz_bit_for_bit(self, monkeypatch, lower):
+        # model_i n=100, gamma=4, w=0.5 is refined through the inverse
+        calls = count_refinements(monkeypatch)
+        tc.svd_at(tc.dynamical_matrix(tc.build_model_i(tc.ModelIParams(n_sites=100, gamma=4.0))),
+                  0.5)
+        assert len(calls) == 1
+        n, diag, offdiag, _ = calls[0]
+        monkeypatch.undo()
+        built = []
+        svd = np.linalg.svd
+
+        def recorded(a):
+            built.append(a)
+            return svd(a)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        triple = greensvd._smallest_triple_via_inverse(n, diag, offdiag, lower)
+        monkeypatch.undo()
+        col = (-offdiag / diag) ** np.arange(n) / diag
+        first = np.zeros(n, dtype=complex)
+        first[0] = col[0]
+        want = scipy.linalg.toeplitz(col, first) if lower else scipy.linalg.toeplitz(first, col)
+        (inv,) = built
+        assert inv.dtype == want.dtype
+        np.testing.assert_array_equal(inv, want)
+        u, s, vh = svd(want)
+        for got, expected in zip(triple, (1.0 / s[0], vh[0].conj(), u[:, 0])):
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestSvdAt:

@@ -47,12 +47,33 @@ def test_traced_names_are_module_level_functions():
     assert targets and not missing, "\n".join(missing)
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # importing scipy.optimize adds about 0.2 s to every CLI start-up
+def loaded_after(code):
+    """Which of scipy.optimize and scipy.linalg a fresh interpreter has
+    loaded after running ``code``."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    probe = "print(sorted({'scipy.optimize', 'scipy.linalg'} & set(sys.modules)))"
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, topocorr.cli; print('scipy.optimize' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
+        [sys.executable, "-c", f"import sys\n{code}\n{probe}"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # importing scipy.optimize or scipy.linalg adds about 0.2 s to every CLI
+    # start-up; scipy.linalg loads only when a routine computes with it
+    assert loaded_after("import topocorr.cli") == "[]"
+
+
+def test_spectrum_and_winding_leave_scipy_linalg_unloaded(tmp_path):
+    # a channel chain's spectrum and the README winding array reach no
+    # SciPy routine
+    code = "\n".join([
+        "from topocorr import cli",
+        f"assert cli.main(['spectrum', '--model', 'model_i', '--gamma', '4', '--n-sites', '20',"
+        f" '--out', {str(tmp_path / 'spectrum')!r}]) == 0",
+        f"assert cli.main(['winding', '--model', 'model_ii_effective', '--gamma', '3',"
+        f" '--out', {str(tmp_path / 'winding')!r}]) == 0",
+    ])
+    assert loaded_after(code) == "[]"

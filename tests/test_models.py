@@ -223,6 +223,23 @@ def oracle_stability(mat, tol=1e-10, tau=1.0, max_doublings=24):
     return False, "certificate", max_doublings
 
 
+class TestNoiseMatrix:
+    @pytest.mark.parametrize("build", [
+        lambda: tc.build_model_i(tc.ModelIParams(n_sites=12, gamma=3.3)),
+        lambda: tc.build_model_ii_full(tc.ModelIIParams(n_cells=6, gamma=3.3)),
+        # the one chain whose gain is not diagonal
+        lambda: tc.adiabatic_eliminate(tc.ModelIIParams(n_cells=12, gamma=3.3)),
+        lambda: tc.apply_disorder(tc.build_model_i(tc.ModelIParams(n_sites=12, gamma=5.0)),
+                                  tc.gaussian_disorder(12, 1.5, seed=7)),
+    ], ids=["model_i", "model_ii_full", "model_ii_effective", "disorder_draw"])
+    def test_is_scipy_block_diag_bit_for_bit(self, build):
+        c = build()
+        want = scipy.linalg.block_diag(c.p_mat, c.gamma_mat)
+        got = c.noise_matrix
+        assert got.dtype == want.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+
+
 def _model_i(n, gamma):
     return lambda: tc.build_model_i(tc.ModelIParams(n_sites=n, gamma=gamma))
 
