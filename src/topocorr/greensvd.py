@@ -405,22 +405,26 @@ def _dense_values(shifted):
 def _channel_resolvent(omegas, channels, n):
     """``T diag(G+, G-) T^dagger`` for every frequency, from one batched
     channel SVD."""
-    halves = []
-    for u, s, v in _channel_svd(omegas, *channels, n):
+    def inverse(u, s, v):
         # an all-zero channel passes the refinement test, so check every node
         if not np.all(s[:, 0] > 0):
             raise ResonanceError(
                 f"omega in [{omegas.min()}, {omegas.max()}] is resonant: "
                 f"a symmetry channel of w*I - H is singular"
             )
-        halves.append((v / s[:, None, :]) @ u.conj().swapaxes(-1, -2))
-    g_plus, g_minus = halves
+        # u and v are this call's own, so V S^{-1} U^dagger needs no temporaries
+        v /= s[:, None, :]
+        return v @ np.conjugate(u, out=u).swapaxes(-1, -2)
+
+    g_plus, g_minus = [inverse(*svd) for svd in _channel_svd(omegas, *channels, n)]
     # with T = [[I, I], [iI, -iI]]/sqrt(2), G = [[E, -O], [O, E]] for
-    # E = (G+ + G-)/2 and O = i(G+ - G-)/2
+    # E = (G+ + G-)/2 and O = i(G+ - G-)/2, written in place
     g = np.empty((omegas.size, 2 * n, 2 * n), dtype=complex)
-    g[:, :n, :n] = g[:, n:, n:] = 0.5 * (g_plus + g_minus)
-    g[:, n:, :n] = odd = 0.5j * (g_plus - g_minus)
-    g[:, :n, n:] = -odd
+    even, odd = g[:, :n, :n], g[:, n:, :n]
+    np.multiply(np.add(g_plus, g_minus, out=even), 0.5, out=even)
+    np.multiply(np.subtract(g_plus, g_minus, out=odd), 0.5j, out=odd)
+    g[:, n:, n:] = even
+    np.negative(odd, out=g[:, :n, n:])
     return g
 
 

@@ -7,22 +7,33 @@ winding-number array, the steady-state invariant: two chains are
 topologically equivalent iff their arrays have equal length and equal
 entries.
 
-The scan reuses everything that does not depend on the frequency.  With
-unit cell ``M`` and largest cell displacement ``R``, ``det(w*I - H(k))`` is
-a Laurent polynomial of degree ``D = 2*M*R`` in ``z = exp(1j*k)`` whose
-coefficients are polynomials of degree ``2M`` in ``w``.  Its coefficient
-table is computed once per chain (``CouplingSet.bloch_det``, from ``2D+1``
-Bloch matrices), so a determinant on the momentum grid costs one
-polynomial evaluation per k-point: no Bloch matrix is assembled and no LU
-is taken per frequency.  When :func:`winding_number` doubles the grid, the
-new grid contains the old one bit for bit and each point is evaluated on
-its own, so the determinants already computed are kept and only the new
-odd points are evaluated, leaving every determinant, and hence every
-array, unchanged bit for bit.  The rule of the scan (doublings, the
-``pi/2`` increment test, ``DET_CLOSING_TOL``, nudges and bisection) is
-that of a scan over LU determinants of the Bloch matrices, and the
-polynomial agrees with those to about 1e-15 of their largest value on the
-grid, so both scans visit the same k-points and reach the same arrays.
+The winding number has two routes.  With unit cell ``M`` and largest cell
+displacement ``R``, ``det(w*I - H(k))`` is a Laurent polynomial of degree
+``D = 2*M*R`` in ``z = exp(1j*k)`` whose coefficients are polynomials of
+degree ``2M`` in ``w``.  Its coefficient table is computed once per chain
+(``CouplingSet.bloch_det``, from ``2D+1`` Bloch matrices).
+
+* The grid frequencies take :func:`winding_number`, a k-grid scan: a
+  determinant on the momentum grid costs one polynomial evaluation per
+  k-point, with no Bloch matrix and no LU per frequency.  When the grid
+  doubles, the new grid contains the old one bit for bit and each point is
+  evaluated on its own, so only the new odd points are evaluated.  The rule
+  of the scan (doublings, the ``pi/2`` increment test, ``DET_CLOSING_TOL``
+  and nudges) is that of a scan over LU determinants of the Bloch matrices,
+  and the polynomial agrees with those to about 1e-15 of their largest
+  value, so both scans visit the same k-points and read the same windings.
+* The bisection of a closing takes :func:`_zero_count`, the argument
+  principle: the zeros of ``z**D * det`` inside the unit circle, less
+  ``D``.  It needs no k-grid, so it counts a zero near ``|z| = 1`` that
+  the scan's acceptance test can pass over on a coarse grid.  Where it
+  disagrees with the scan at a bracket end, the array raises
+  :class:`GapClosingError` instead of placing the closing from a wrong
+  winding.
+
+The scan stays for the grid frequencies because the benchmark's tracer
+(``perfbench/spans.py``) wraps :func:`winding_number` and
+:func:`_bloch_determinants` by name and counts their calls; moving the
+grid to the zero count too waits for a trace the library records itself.
 """
 
 from __future__ import annotations
@@ -148,20 +159,50 @@ def topologically_equivalent(a: WindingArray, b: WindingArray) -> bool:
     return len(a.nus) == len(b.nus) and all(x == y for x, y in zip(a.nus, b.nus))
 
 
-def _refine_closing(c, lo, hi, nu_lo, nu_hi, refine_tol, n_k):
+def _zero_count(c: CouplingSet, omega: float) -> int:
+    """Winding number at ``omega`` by the argument principle.
+
+    ``z**D * det(w*I - H(z))`` is a polynomial of degree ``2D`` in ``z``, so
+    the winding of the determinant around ``|z| = 1`` is the number of its
+    zeros inside the circle less the order ``D`` of the pole at 0.
+    ``np.roots`` drops a vanishing leading coefficient (a zero at infinity,
+    outside) and returns a vanishing trailing one as a zero at 0 (inside).
+    """
+    coef = _horner(c.bloch_det.T, omega)
+    return int(np.count_nonzero(np.abs(np.roots(coef[::-1])) < 1.0)) - len(coef) // 2
+
+
+def _refine_closing(c, lo, hi, refine_tol):
     """Bisect a winding change down to ``refine_tol`` in frequency.
 
-    When a bracket hides several closings (hairline intervals below the
-    scan resolution), converge to the one adjacent to the outer (larger
-    ``|omega|``) endpoint, so merged arrays stay reflection symmetric.
+    ``lo`` and ``hi`` are the scan's readings ``(omega, nu)`` on either side
+    of the change, each taken at its grid frequency or, where the scan
+    nudged, at the nudge, so the change lies between them.  Each midpoint
+    takes its winding from the zero count of :func:`_zero_count`, so no
+    k-grid is scanned.  When a bracket hides several closings (hairline
+    intervals below the scan resolution), converge to the one adjacent to
+    the outer (larger ``|omega|``) endpoint, so merged arrays stay
+    reflection symmetric.
+
+    Raises
+    ------
+    GapClosingError
+        If the zero count at either end disagrees with the scan's ``nu``
+        there: the k-grid missed a zero near the unit circle, and bisecting
+        would misplace the closing.
     """
+    for omega, nu in (lo, hi):
+        count = _zero_count(c, omega)
+        if count != nu:
+            raise GapClosingError(
+                f"winding at omega={omega} reads {nu} on the k-grid but {count} by the "
+                f"zero count; a zero of det(w*I - H(z)) lies too close to |z| = 1"
+            )
+    (lo, nu_lo), (hi, nu_hi) = lo, hi
     follow_lo = abs(lo) >= abs(hi)
     while hi - lo > refine_tol:
         mid = 0.5 * (lo + hi)
-        try:
-            nu_mid = winding_number(c, mid, n_k)
-        except GapClosingError:
-            return mid
+        nu_mid = _zero_count(c, mid)
         if follow_lo:
             if nu_mid == nu_lo:
                 lo = mid
@@ -176,13 +217,14 @@ def _refine_closing(c, lo, hi, nu_lo, nu_hi, refine_tol, n_k):
 
 
 def _nudged_winding(c, w, nudge, n_k):
-    """Winding at ``w + nudge``, else at ``w - nudge``, else GapClosingError."""
+    """``(omega, nu)``: the winding at ``omega = w + nudge``, else at
+    ``w - nudge``, else GapClosingError."""
     try:
-        return winding_number(c, w + nudge, n_k)
+        return w + nudge, winding_number(c, w + nudge, n_k)
     except GapClosingError:
         pass
     try:
-        return winding_number(c, w - nudge, n_k)
+        return w - nudge, winding_number(c, w - nudge, n_k)
     except GapClosingError as exc:
         raise GapClosingError(
             f"gap closing at grid frequency omega={w}, and at both nudges "
@@ -199,35 +241,42 @@ def winding_array(
 ) -> WindingArray:
     """Winding numbers on the intervals between singular-gap closings.
 
-    Scans a uniform frequency grid over ``[-omega_max, omega_max]``; each
-    change of the winding number brackets a closing which bisection then
-    localizes to ``refine_tol``.  Closings narrower than the grid spacing
-    are absorbed into a single detected transition.
+    Scans a uniform frequency grid over ``[-omega_max, omega_max]`` with
+    :func:`winding_number`; each change of the winding number brackets a
+    closing, which bisection on the zero count (:func:`_refine_closing`)
+    then localizes to ``refine_tol``.  Closings narrower than the grid
+    spacing are absorbed into a single detected transition.
+
+    Raises
+    ------
+    GapClosingError
+        If a grid frequency and both its nudges sit on a closing, or the
+        scan's winding at a bracket end disagrees with the zero count.
+    ValueError
+        If the winding at ``+-omega_max`` is nonzero, or ``refine_tol`` is
+        not positive.
     """
     if not refine_tol > 0:
         raise ValueError(f"refine_tol must be positive, got {refine_tol}")
     omegas = np.linspace(-omega_max, omega_max, n_omega)
-    nus: list[int] = []
-    grid_vals: list[tuple[float, int]] = []
+    # (omega, nu) at each grid frequency, or at its nudge
+    readings: list[tuple[float, int]] = []
     for w in omegas:
         try:
-            nu = winding_number(c, w, n_k)
+            readings.append((w, winding_number(c, w, n_k)))
         except GapClosingError:
             # The grid landed on (or numerically at) a closing; nudge off it.
-            nu = _nudged_winding(c, w, (omegas[1] - omegas[0]) * 1e-3, n_k)
-        grid_vals.append((w, nu))
-    if grid_vals[0][1] != 0 or grid_vals[-1][1] != 0:
+            readings.append(_nudged_winding(c, w, (omegas[1] - omegas[0]) * 1e-3, n_k))
+    if readings[0][1] != 0 or readings[-1][1] != 0:
         raise ValueError(
             f"winding at +-omega_max={omega_max} is nonzero; enlarge the window"
         )
     closings: list[float] = []
-    nus = [grid_vals[0][1]]
-    for (w_lo, nu_lo), (w_hi, nu_hi) in zip(grid_vals[:-1], grid_vals[1:]):
-        if nu_hi != nu_lo:
-            closings.append(
-                _refine_closing(c, w_lo, w_hi, nu_lo, nu_hi, refine_tol, n_k)
-            )
-            nus.append(nu_hi)
+    nus = [readings[0][1]]
+    for lo, hi in zip(readings[:-1], readings[1:]):
+        if hi[1] != lo[1]:
+            closings.append(_refine_closing(c, lo, hi, refine_tol))
+            nus.append(hi[1])
     return WindingArray(
         closings=tuple(closings), nus=tuple(nus), stable=len(nus) % 2 == 1
     )

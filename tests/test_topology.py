@@ -1,6 +1,10 @@
+import json
+import re
+
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import topocorr as tc
@@ -131,7 +135,8 @@ def oracle_winding_number(c):
 
 def outcome(c, scan=None, **kw):
     """JSON of ``winding_array(c, **kw)``, or the error it raises; ``scan``
-    replaces the per-frequency winding number."""
+    replaces the k-grid scan of the grid frequencies (the bisection counts
+    zeros and never calls it)."""
     with pytest.MonkeyPatch.context() as mp:
         if scan is not None:
             mp.setattr(topology, "winding_number", scan)
@@ -149,10 +154,50 @@ CRITERION_2_CHAINS = {
 }
 
 
+def mp_winding(c, omega):
+    """Independent winding number at ``omega``: the zeros of ``z**D *
+    det(w*I - H(z))`` inside ``|z| < 1``, less ``D``, from 40-digit mpmath
+    roots of the chain's determinant table evaluated at ``omega`` in mpmath
+    arithmetic (``np.roots`` plays no part)."""
+    with mpmath.workdps(40):
+        w = mpmath.mpf(omega)
+        coef = [mpmath.polyval([mpmath.mpc(a) for a in row], w) for row in c.bloch_det]
+        deg = len(coef) // 2
+        at_zero = 0
+        while coef and coef[0] == 0:
+            coef.pop(0)
+            at_zero += 1
+        while coef[-1] == 0:
+            coef.pop()
+        roots = mpmath.polyroots(coef[::-1], maxsteps=200, extraprec=100)
+        return at_zero + sum(abs(r) < 1 for r in roots) - deg
+
+
+COUNT_MISMATCH = re.compile(
+    r"GapClosingError: winding at omega=(\S+) reads (-?\d+) on the k-grid "
+    r"but (-?\d+) by the zero count")
+
+
+def check_against_mpmath(c, result, refine_tol=1e-4):
+    """Each closing of an array has a crossing within ``refine_tol/2``: the
+    mpmath winding differs on its two sides.  A count mismatch the scan
+    reports is the mpmath winding against the scan's."""
+    if result.startswith("{"):
+        for w in json.loads(result)["closings"]:
+            assert mp_winding(c, w - refine_tol / 2) != mp_winding(c, w + refine_tol / 2), w
+    else:
+        found = COUNT_MISMATCH.match(result)
+        if found:
+            omega, scan, count = float(found[1]), int(found[2]), int(found[3])
+            assert mp_winding(c, omega) == count != scan, result
+
+
 class TestSharedBlochGrid:
-    """The scan evaluates the chain's determinant polynomial and reuses the
-    coarse determinants; the arrays stay those of the per-call LU scan, bit
-    for bit."""
+    """The grid scan evaluates the chain's determinant polynomial and reuses
+    the coarse determinants; its winding numbers, and so the brackets, stay
+    those of the per-call LU scan, bit for bit.  The closings are bisected
+    on the zero count, which no monkeypatched scan reaches, so each one is
+    also checked against an independent mpmath crossing."""
 
     @pytest.mark.parametrize("make", CRITERION_2_CHAINS.values(), ids=CRITERION_2_CHAINS)
     def test_arrays_match_the_per_call_scan(self, make):
@@ -160,24 +205,35 @@ class TestSharedBlochGrid:
         expected = outcome(c, oracle_winding_number(c))
         assert outcome(c) == expected
         assert expected.startswith("{")
+        check_against_mpmath(c, expected)
 
     @given(gamma=st.floats(2.0, 6.0), g_c_prime=st.floats(1.5, 5.0),
            gamma_prime=st.floats(15.0, 50.0))
     @settings(max_examples=6, deadline=None)
+    # a zero pair crosses |z| = 1 together (nu 2 -> 0); bisecting on the
+    # k-grid scan put the closings at +-1.6347, 0.0011 from the crossing
+    @example(gamma=2.0, g_c_prime=3.0, gamma_prime=15.0)
+    # the grid point -2.0 is nudged to -1.99992, and the crossing at
+    # -1.99998 lies between the two: the bracket ends at the nudge
+    @example(gamma=4.0625, g_c_prime=2.8359375, gamma_prime=15.15625)
     def test_arrays_match_the_per_call_scan_on_a_sweep(self, gamma, g_c_prime, gamma_prime):
         c = effective_ii(gamma, g_c_prime, gamma_prime)
         expected = outcome(c, oracle_winding_number(c), n_omega=101)
         assert outcome(c, n_omega=101) == expected
+        check_against_mpmath(c, expected)
 
     @given(gamma=st.floats(2.0, 6.0), g_c_prime=st.floats(1.5, 5.0),
            gamma_prime=st.floats(15.0, 50.0))
     @settings(max_examples=6, deadline=None)
+    # as above; the k-grid bisection put the closings at +-1.4604, 0.0032 off
+    @example(gamma=2.0, g_c_prime=3.0, gamma_prime=15.0)
     def test_full_dimer_arrays_match_the_per_call_scan_on_a_sweep(self, gamma, g_c_prime,
                                                                   gamma_prime):
         c = tc.build_model_ii_full(tc.ModelIIParams(
             n_cells=2, gamma=gamma, g_c_prime=g_c_prime, gamma_prime=gamma_prime))
         expected = outcome(c, oracle_winding_number(c), n_omega=101)
         assert outcome(c, n_omega=101) == expected
+        check_against_mpmath(c, expected)
 
     def test_each_k_point_is_assembled_once(self, monkeypatch):
         sizes = []
@@ -201,6 +257,103 @@ class TestSharedBlochGrid:
         coarse = topology._bloch_determinants(c, 0.7, 256)
         fine = topology._bloch_determinants(c, 0.7, 512, coarse)
         assert fine.tobytes() == topology._bloch_determinants(c, 0.7, 512).tobytes()
+
+
+# Chains whose k-grid scan accepts a wrong winding number at n_k = 256: a
+# zero of z^D det(w*I - H(z)) sits within 0.006 of the unit circle.  Each
+# entry: the grid frequency, the scan's winding there and the zero count's.
+# 40-digit mpmath roots give the count's value: at w = +-1.76 the first
+# chain's zeros have |z| = 0.994800 and 0.996708 (nu = 2), at w = +-1.68 the
+# second's have |z| = 1.000049 and 1.009104 (nu = 0).
+SCAN_MISSES = {
+    "near-double-zero": (dict(gamma=3.53886118150175, g_c_prime=4.485357506771523,
+                              gamma_prime=24.450562360566302), -1.76, 1, 2),
+    "outer-closing": (dict(gamma=1.1784013938679807, g_c_prime=3.059555281085481,
+                           gamma_prime=28.648241013011564), -1.68, 1, 0),
+}
+
+
+class TestZeroCount:
+    """Bisection takes the winding from the zeros of the determinant
+    polynomial inside the unit circle (argument principle), not from a
+    k-grid."""
+
+    @pytest.mark.parametrize("make", CRITERION_2_CHAINS.values(), ids=CRITERION_2_CHAINS)
+    def test_agrees_with_the_scan_on_the_grid(self, make):
+        c = make()
+        for w in np.linspace(-4.0, 4.0, 101):
+            try:
+                nu = tc.winding_number(c, w)
+            except tc.GapClosingError:
+                continue
+            assert topology._zero_count(c, w) == nu, w
+
+    def test_bisection_scans_no_k_grid(self, monkeypatch):
+        calls = []
+        real = topology.winding_number
+
+        def counting(c, omega, n_k=256):
+            calls.append(omega)
+            return real(c, omega, n_k)
+
+        monkeypatch.setattr(topology, "winding_number", counting)
+        arr = topology.winding_array(model_i(1.6), n_omega=101)
+        assert len(arr.closings) == 4
+        assert len(calls) == 101
+
+    @pytest.mark.parametrize("gamma", [1.1, 1.6, 2.5, 3.0, 4.0, 5.0, 5.5])
+    def test_model_i_closings_match_the_gap_closure_frequencies(self, gamma):
+        # the channel with damping kappa = gamma/2 -+ g_s closes its gap at
+        # w = +-sqrt(4J^2 - kappa^2) wherever |kappa| < 2J (J = g_s = 1);
+        # gamma = 1.2 is left out, its kappa_- closing sits on a grid point
+        exact = sorted(sign * np.sqrt(4.0 - kappa**2)
+                       for kappa in (gamma / 2 - 1, gamma / 2 + 1) if abs(kappa) < 2
+                       for sign in (-1, 1))
+        arr = tc.winding_array(model_i(gamma), refine_tol=1e-4)
+        assert len(arr.closings) == len(exact)
+        np.testing.assert_allclose(arr.closings, exact, rtol=0, atol=0.5e-4)
+
+    @pytest.mark.parametrize("params,omega,scan,count", SCAN_MISSES.values(), ids=SCAN_MISSES)
+    def test_scan_miss_at_a_bracket_end_is_a_gap_closing(self, params, omega, scan, count):
+        c = effective_ii(**params)
+        with pytest.raises(tc.GapClosingError) as err:
+            topology.winding_array(c, n_omega=101)
+        found = COUNT_MISMATCH.match(f"GapClosingError: {err.value}")
+        assert found, str(err.value)
+        assert float(found[1]) == pytest.approx(omega, abs=1e-12)
+        assert (int(found[2]), int(found[3])) == (scan, count)
+        assert mp_winding(c, omega) == mp_winding(c, -omega) == count
+
+    def test_scan_miss_is_an_exit_4(self, tmp_path, capsys):
+        params, *_ = SCAN_MISSES["near-double-zero"]
+        cfgfile = tmp_path / "cfg.yaml"
+        cfgfile.write_text(
+            "model: model_ii_effective\n"
+            f"params: {{n_sites: 2, gamma: {params['gamma']!r}, "
+            f"g_c_prime: {params['g_c_prime']!r}, gamma_prime: {params['gamma_prime']!r}}}\n"
+        )
+        assert cli.main(["winding", "--config", str(cfgfile), "--out", str(tmp_path)]) \
+            == cli.EXIT_NUMERICAL
+        assert "by the zero count" in capsys.readouterr().err
+
+    def test_nudged_end_is_checked_where_the_scan_read_it(self):
+        # model_i(4.0) closes at +-sqrt(3); 1.76 is the grid point above it
+        c = model_i(4.0)
+        nudge = 8e-5
+        real = topology.winding_number
+
+        def scan(chain, omega, n_k=256):
+            if omega == pytest.approx(1.76, abs=1e-12):
+                raise tc.GapClosingError(f"gap closing at omega={omega}")
+            if omega == pytest.approx(1.76 + nudge, abs=1e-12):
+                return 1  # wrong: the zero count there is 0
+            return real(chain, omega, n_k)
+
+        result = outcome(c, scan, n_omega=101)
+        found = COUNT_MISMATCH.match(result)
+        assert found, result
+        assert float(found[1]) == pytest.approx(1.76 + nudge, abs=1e-12)
+        assert (int(found[2]), int(found[3])) == (1, 0)
 
 
 def random_cell_blocks(unit_cell, reach, seed):
