@@ -14,9 +14,10 @@ obeys ``C H* C = -H`` with ``C`` the particle-hole block swap, so for real
 ``w`` ``G(-w) = -C G(w)* C`` and ``I(-w)`` follows from the same resolvent;
 the rule therefore integrates ``I(w) + I(-w)`` over ``[0, W]``.  Every
 chain evaluates both halves with one :func:`resolvent` call per panel: a
-batched LU solve, or on symmetric chains the batched bidiagonal channel
-SVDs, which resolve the exponentially small topological singular value to
-full relative accuracy.  The weighted factors of a panel's nodes, side by
+banded LU solve of the panel's nodes in the chain's site-major band form,
+or on symmetric chains the batched bidiagonal channel SVDs, which resolve
+the exponentially small topological singular value to full relative
+accuracy.  The weighted factors of a panel's nodes, side by
 side, give the panel's integral as one Gram product.
 ``QuadratureReport.panels`` counts panels of ``[-W, W]``, two per folded
 panel, and a refinement that would need more than ``MAX_PANELS`` of them
@@ -259,7 +260,7 @@ def _integrand_factory(c: CouplingSet, h: DynamicalMatrix):
     ``Y(w) = G*(w) L`` with the noise factor of :func:`_noise_factor`, whose
     check of ``D`` runs once per chain, here.  ``G`` comes from one
     :func:`resolvent` call for all nodes, which takes the chain's route:
-    the bidiagonal channel SVDs on symmetric chains, the LU solve
+    the bidiagonal channel SVDs on symmetric chains, the banded LU solve
     elsewhere.  As ``G(-w) = -C G(w)* C``, the mirror half needs no second
     resolvent: ``Y(-w) = C G(w) (C L)``.
     """

@@ -26,8 +26,13 @@ values below ``1e-12 s_max`` still take their triple from the explicit
 inverse, and one too small for that refinement to represent raises
 :class:`ResonanceError`; ``singular_values`` keeps the closed-form values
 and raises only for one below the normal doubles.  Other chains take the
-refined dense SVD in ``svd_at``, a batched LU solve in ``resolvent``
-and a batched values-only SVD in ``singular_values``.
+refined dense SVD in ``svd_at`` and a batched values-only SVD in
+``singular_values``.  Their ``resolvent`` is a banded LU solve: in
+site-major order, ``(p_0, h_0, p_1, h_1, ...)``, the generator of a chain
+coupling sites out to distance ``R`` has bandwidth ``2R + 1``
+(``CouplingSet.bands``), so a frequency costs ``O(n^2 R)`` instead of the
+``O(n^3)`` of a dense inverse, and several frequencies share one LAPACK
+call without changing a bit of any result.
 """
 
 from __future__ import annotations
@@ -44,6 +49,9 @@ _GAUGE_ANCHOR_REL = 1e-8
 _INVERSE_REFINE_REL = 1e-12
 # frequencies per batch of singular_values, as correlations.PANEL_NODES
 _CHUNK = 32
+# rows of the stacked band matrix that one zgbsv call factors: enough that
+# a chain of a few sites takes a whole 32-node panel in one call
+_BAND_ROWS = 256
 
 
 class ResonanceError(RuntimeError):
@@ -330,24 +338,59 @@ def resolvent(h: DynamicalMatrix, omegas) -> NDArray[np.complex128]:
     route follows the chain, as in :func:`svd_at`.  On symmetric chains
     ``G = T diag(G+, G-) T^dagger`` with ``G+- = V+- S+-^{-1} U+-^dagger``
     from the channel SVDs, which carry the exponentially small topological
-    value to full relative accuracy.  Elsewhere one batched LU solve against
-    the identity, which where ``w*I - H`` is ill-conditioned stays closer to
-    the exact inverse than ``V diag(1/s) U^dagger`` assembled from a dense
-    SVD (checked against 40-digit values in the tests).  An exactly singular
-    shifted matrix raises :class:`ResonanceError`.
+    value to full relative accuracy.  Elsewhere ``(w*I - H) G = I`` is
+    solved by banded LU with partial pivoting (LAPACK ``zgbsv``) in the
+    site-major order of ``CouplingSet.bands``, which where ``w*I - H`` is
+    ill-conditioned stays closer to the exact inverse than ``V diag(1/s)
+    U^dagger`` assembled from a dense SVD (checked against 40-digit values
+    in the tests).  See :func:`_banded_resolvent` for how frequencies share
+    a call.  An exactly singular shifted matrix raises
+    :class:`ResonanceError`, and a non-finite frequency ``ValueError``.
     """
     omegas = np.asarray(omegas, dtype=float)
+    if not np.all(np.isfinite(omegas)):
+        raise ValueError("frequencies must be finite")
     channels = h.source.channels
     if channels is not None:
         return _channel_resolvent(omegas, channels, h.n)
-    shifted = omegas[:, None, None] * np.eye(2 * h.n) - h.h
-    try:
-        return np.linalg.inv(shifted)
-    except np.linalg.LinAlgError as exc:
-        raise ResonanceError(
-            f"omega in [{omegas.min()}, {omegas.max()}] is resonant: "
-            f"w*I - H is singular"
-        ) from exc
+    return _banded_resolvent(omegas, h.source.bands)
+
+
+def _banded_resolvent(omegas, bands):
+    """``(w*I - H)^{-1}`` for every frequency by banded LU, ``zgbsv``.
+
+    Each call solves for several frequencies at once, about ``_BAND_ROWS``
+    rows: their shifted matrices, one block each, form a block-diagonal
+    band whose entries between consecutive blocks are zero.  Partial
+    pivoting then never takes a row from another block, and an update from
+    one block adds only zeros to the next, so each ``G`` is the one a call
+    of its own would give, bit for bit.  The right-hand side of a block is
+    the identity with its rows in site-major order, and the solution's rows
+    are put back in the generator's order.
+    """
+    from scipy.linalg.lapack import zgbsv
+
+    order, kl, ku = bands.order, bands.kl, bands.ku
+    dim, depth = order.size, bands.band.shape[0]
+    group = max(1, _BAND_ROWS // dim)
+    g = np.empty((omegas.size, dim, dim), dtype=complex)
+    for start in range(0, omegas.size, group):
+        batch = omegas[start:start + group]
+        # both operands column-major, as LAPACK reads them: block by block
+        # along the columns, the band and the identity's site-major rows
+        ab = np.empty((batch.size, dim, depth), dtype=complex)
+        ab[:] = bands.band.T
+        ab[:, :, kl + ku] += batch[:, None]
+        rhs = np.zeros((dim, batch.size, dim), dtype=complex)
+        rhs[order, :, np.arange(dim)] = 1.0
+        *_, x, info = zgbsv(kl, ku, ab.reshape(-1, depth).T, rhs.reshape(dim, -1).T,
+                            overwrite_ab=1, overwrite_b=1)
+        if info > 0:
+            raise ResonanceError(
+                f"omega={batch[(info - 1) // dim]} is resonant: w*I - H is singular"
+            )
+        g[start:start + batch.size, order] = x.T.reshape(dim, batch.size, dim).transpose(1, 2, 0)
+    return g
 
 
 def singular_values(h: DynamicalMatrix, omegas) -> NDArray[np.float64]:

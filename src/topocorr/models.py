@@ -22,8 +22,10 @@ with a norm certificate when the eigensolve is inconclusive
 draws inherit along with a stable verdict; its symmetric-channel structure
 (``CouplingSet.channels``, :func:`symmetric_channels`); and the
 coefficient table of its Bloch determinant (``CouplingSet.bloch_det``,
-:func:`bloch_det_coefficients`), which the winding scan evaluates.  Chains
-are treated as immutable: a cached fact is never recomputed.
+:func:`bloch_det_coefficients`), which the winding scan evaluates; and the
+band form of its generator in site-major order (``CouplingSet.bands``,
+:func:`band_form`), which the dense resolvent factors.  Chains are treated
+as immutable: a cached fact is never recomputed.
 
 Hopping phase convention: the sub-diagonal carries the phase factor,
 ``j_mat[i+1, i] = J * exp(1j * phi)``.  The Fourier sign in
@@ -182,6 +184,12 @@ class CouplingSet:
         """The coefficient table of ``det(w*I - H(k))``, computed once; see
         :func:`bloch_det_coefficients`."""
         return bloch_det_coefficients(self)
+
+    @cached_property
+    def bands(self) -> Bands:
+        """The site-major band form of this chain's generator, built once;
+        see :func:`band_form`."""
+        return band_form(self)
 
 
 @dataclass(frozen=True)
@@ -408,6 +416,46 @@ def dynamical_matrix(c: CouplingSet) -> DynamicalMatrix:
     """
     h = _generator(c.j_mat, c.k_mat, _rates(c.gamma_mat, c.p_mat))
     return DynamicalMatrix(h=h, source=c)
+
+
+@dataclass(frozen=True)
+class Bands:
+    """A chain's generator as a band matrix, in LAPACK ``gbsv`` storage.
+
+    In site-major order, ``(p_0, h_0, p_1, h_1, ...)``, a chain whose sites
+    couple out to distance ``R`` has a generator of bandwidth ``2R + 1`` on
+    each side.  ``order`` lists the generator's rows in that order, ``kl``
+    and ``ku`` are the lower and upper bandwidths of the permuted matrix,
+    and ``band`` stores ``-H`` permuted: entry ``(i, j)`` in row ``kl + ku
+    + i - j`` of column ``j``, below ``kl`` rows that ``gbsv`` fills in.
+    """
+
+    order: NDArray[np.intp]
+    kl: int
+    ku: int
+    band: ComplexMatrix
+
+
+def band_form(c: CouplingSet) -> Bands:
+    """The :class:`Bands` of a chain, read off the nonzeros of its generator.
+
+    Every entry of ``band`` off the matrix is zero, and so is every
+    structural zero inside it: ``0.0 - H`` writes no negative zero.  An
+    uncoupled chain has ``kl = ku = 0``.
+    """
+    dim = 2 * c.n
+    order = np.arange(dim).reshape(2, c.n).T.ravel()
+    a = 0.0 - dynamical_matrix(c).h[np.ix_(order, order)]
+    below = np.subtract(*np.nonzero(a))
+    kl, ku = int(below.max(initial=0)), int(-below.min(initial=0))
+    # row of the matrix at each (diagonal offset, column) of the band
+    rows = np.arange(-ku, kl + 1)[:, None] + np.arange(dim)
+    d, j = np.nonzero((rows >= 0) & (rows < dim))
+    band = np.zeros((2 * kl + ku + 1, dim), dtype=complex)
+    band[kl + d, j] = a[rows[d, j], j]
+    band.flags.writeable = False
+    order.flags.writeable = False
+    return Bands(order=order, kl=kl, ku=ku, band=band)
 
 
 def real_form(c: CouplingSet) -> NDArray[np.float64]:

@@ -22,10 +22,11 @@ degree ``2M`` in ``w``.  Its coefficient table is computed once per chain
   and nudges) is that of a scan over LU determinants of the Bloch matrices,
   and the polynomial agrees with those to about 1e-15 of their largest
   value, so both scans visit the same k-points and read the same windings.
-* The bisection of a closing takes :func:`_zero_count`, the argument
-  principle: the zeros of ``z**D * det`` inside the unit circle, less
-  ``D``.  It needs no k-grid, so it counts a zero near ``|z| = 1`` that
-  the scan's acceptance test can pass over on a coarse grid.  Where it
+* The bisection of a closing, and a nudge that the scan cannot read,
+  take :func:`_zero_count`, the argument principle: the zeros of
+  ``z**D * det`` inside the unit circle, less ``D``.  It needs no k-grid,
+  so it counts a zero near ``|z| = 1`` that the scan's acceptance test can
+  pass over on a coarse grid, or that no grid resolves.  Where it
   disagrees with the scan at a bracket end, the array raises
   :class:`GapClosingError` instead of placing the closing from a wrong
   winding.
@@ -217,19 +218,19 @@ def _refine_closing(c, lo, hi, refine_tol):
 
 
 def _nudged_winding(c, w, nudge, n_k):
-    """``(omega, nu)``: the winding at ``omega = w + nudge``, else at
-    ``w - nudge``, else GapClosingError."""
-    try:
-        return w + nudge, winding_number(c, w + nudge, n_k)
-    except GapClosingError:
-        pass
-    try:
-        return w - nudge, winding_number(c, w - nudge, n_k)
-    except GapClosingError as exc:
-        raise GapClosingError(
-            f"gap closing at grid frequency omega={w}, and at both nudges "
-            f"omega={w + nudge} and omega={w - nudge}"
-        ) from exc
+    """``(omega, nu)``: the scan's winding at ``omega = w + nudge``, else at
+    ``w - nudge``, else the zero count at ``w + nudge``.
+
+    A closing on a grid point defeats the scan at both nudges when they lie
+    closer to it than the finest k-grid resolves; the zero count needs no
+    k-grid.
+    """
+    for omega in (w + nudge, w - nudge):
+        try:
+            return omega, winding_number(c, omega, n_k)
+        except GapClosingError:
+            pass
+    return w + nudge, _zero_count(c, w + nudge)
 
 
 def winding_array(
@@ -250,8 +251,8 @@ def winding_array(
     Raises
     ------
     GapClosingError
-        If a grid frequency and both its nudges sit on a closing, or the
-        scan's winding at a bracket end disagrees with the zero count.
+        If the scan's winding at a bracket end disagrees with the zero
+        count.
     ValueError
         If the winding at ``+-omega_max`` is nonzero, or ``refine_tol`` is
         not positive.

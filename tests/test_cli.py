@@ -411,27 +411,19 @@ def test_gap_closing_reported_as_numerical_failure(tmp_path):
     assert rc == EXIT_CONFIG or rc == EXIT_NUMERICAL
 
 
-def test_failed_nudges_exit_numerical(tmp_path, capsys, monkeypatch):
-    # the grid point omega = 0 and both of its nudges sit on a closing
-    from topocorr import topology
-
-    real = topology.winding_number
-
-    def closed_near_zero(c, omega, n_k=256):
-        if abs(omega) < 1e-2:
-            raise topology.GapClosingError(f"gap closing at omega={omega}")
-        return real(c, omega, n_k)
-
-    monkeypatch.setattr(topology, "winding_number", closed_near_zero)
+def test_winding_reads_a_closing_on_a_grid_point(tmp_path):
+    # model_i closes at +-1.2 for gamma = 1.2, on a point of the default
+    # grid, where the k-grid scan fails at the point and at both nudges;
+    # the zero count reads the nudge
     rc = run([
-        "winding", "--model", "model_i", "--gamma", "8.0", "--n-sites", "2",
-        "--omega-count", "11", "--out", str(tmp_path),
+        "winding", "--model", "model_i", "--gamma", "1.2", "--n-sites", "40",
+        "--out", str(tmp_path),
     ])
-    assert rc == EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert "numerical failure: gap closing at grid frequency omega=0.0" in err
-    assert "both nudges" in err
-    assert not (tmp_path / "winding.json").exists()
+    assert rc == 0
+    arr = json.loads((tmp_path / "winding.json").read_text().splitlines()[1])
+    assert arr["nus"] == [0, 1, 0, 1, 0]
+    exact = [-np.sqrt(4 - 0.4**2), -1.2, 1.2, np.sqrt(4 - 0.4**2)]
+    np.testing.assert_allclose(arr["closings"], exact, rtol=0, atol=0.5e-4)
 
 
 def old_csv_value(x) -> str:

@@ -225,9 +225,11 @@ def oracle_channel_integrand(c, h):
 
 class TestEqualTimeIntegrand:
     def test_dense_route_matches_exact_resolvent(self):
-        # The LU resolvent reaches 5.5e-11 normwise here; the same integrand
-        # assembled from a dense SVD (V diag(1/s) U^dagger) misses these
-        # values by 5.8e-7 normwise and by 1.9e-6 on entry (0, 30).
+        # The banded LU resolvent reaches 2.4e-11 normwise here and 3.7e-11
+        # on the worst of these values (a dense inverse: 5.5e-11 and
+        # 1.6e-10); the same integrand assembled from a dense SVD (V
+        # diag(1/s) U^dagger) misses them by 5.8e-7 normwise and by 1.9e-6
+        # on entry (0, 30).
         c = tc.adiabatic_eliminate(tc.ModelIIParams(n_cells=30, gamma=3.0))
         assert c.channels is None
         direct, _ = _integrand_factory(c, tc.dynamical_matrix(c))(np.array([INTEGRAND_W]))
@@ -242,12 +244,14 @@ class TestEqualTimeIntegrand:
         tc.build_model_ii_full(tc.ModelIIParams(n_cells=3, gamma=3.0)),
     ], ids=["channels", "dense"])
     def test_batch_matches_single_nodes(self, chain):
+        # bit for bit: the dense route factors the nodes of a batch side by
+        # side, in blocks that exchange no pivots
         integrand = _integrand_factory(chain, tc.dynamical_matrix(chain))
         omegas = np.array([-1.3, 0.0, 0.4])
         for half, batch in enumerate(integrand(omegas)):
-            for w, val in zip(omegas, gram(batch)):
-                single = gram(integrand(np.array([w]))[half])[0]
-                assert np.linalg.norm(val - single) <= 1e-13 * np.linalg.norm(single)
+            for w, factor in zip(omegas, batch):
+                single = integrand(np.array([w]))[half][0]
+                assert factor.tobytes() == single.tobytes()
 
     @pytest.mark.parametrize("c", [
         stable_chain(n=6, gamma=4.0),
@@ -297,9 +301,10 @@ class TestEqualTimeIntegrand:
 
 # 40-digit mpmath values of (lambda_n, lambda_m) of model_ii_effective (30
 # cells, gamma=3), from the exact inverse of the same floating-point H, at
-# frequencies where cond(w*I - H) is about 7e9.  The resolvent route is
-# within 4.5e-12 of them; freq_correlations(svd_at) misses them by up to
-# 4.9e-8, because a dense SVD bounds its error in units of eps * s_max.
+# frequencies where cond(w*I - H) is about 7e9.  The resolvent route, by
+# banded LU, is within 1.0e-12 of them (a dense inverse: 4.4e-12);
+# freq_correlations(svd_at) misses them by up to 4.9e-8, because a dense
+# SVD bounds its error in units of eps * s_max.
 LRO_EFFECTIVE = {
     -0.32: (0.96877985997830720119, 0.96941422796652190886),
     0.0: (0.96885316657232515511, 0.96949158970782720624),

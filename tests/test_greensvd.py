@@ -478,6 +478,95 @@ class TestResolvent:
         with pytest.raises(tc.ResonanceError):
             tc.resolvent(h, np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("chain", [
+        tc.build_model_ii_full(tc.ModelIIParams(n_cells=5, gamma=3.0)),
+        tc.build_model_i(tc.ModelIParams(n_sites=12, gamma=5.0)),
+    ], ids=["dense", "channels"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_frequency_is_rejected(self, chain, bad):
+        h = tc.dynamical_matrix(chain)
+        with pytest.raises(ValueError, match="frequencies must be finite"):
+            tc.resolvent(h, np.array([0.0, bad, 1.0]))
+
+    def test_lro_curve_rejects_a_non_finite_frequency(self):
+        # the dense route used to return a NaN resolvent, and so a NaN row
+        c = tc.build_model_ii_full(tc.ModelIIParams(n_cells=3, gamma=3.0))
+        with pytest.raises(ValueError, match="frequencies must be finite"):
+            tc.lro_curve(c, [0.0, np.nan, 1.0])
+
+
+def hopping_pair():
+    """Two sites joined by a real hopping 1, with no loss: the particle
+    block of ``w*I - H`` is ``[[w, -1], [-1, w]]``, exactly singular at
+    ``w = 1``, and the chain has no symmetric channels."""
+    hop = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    zero = np.zeros((2, 2))
+    return tc.CouplingSet(j_mat=hop, k_mat=zero.astype(complex), gamma_mat=zero, p_mat=zero)
+
+
+# chains without symmetric channels: the dense route
+BANDED_CHAINS = {
+    "dimer": lambda: tc.build_model_ii_full(tc.ModelIIParams(n_cells=15, gamma=3.0)),
+    "gain": lambda: tc.adiabatic_eliminate(tc.ModelIIParams(n_cells=30, gamma=3.0)),
+    "detuned": lambda: tc.build_model_i(tc.ModelIParams(n_sites=100, gamma=5.0, delta=0.3)),
+    "uncoupled": lambda: tc.build_model_i(tc.ModelIParams(
+        n_sites=3, j=0.0, g_s=0.0, g_c=0.0, delta=0.3, gamma=2.0)),
+}
+
+
+class TestBandedResolvent:
+    OMEGAS = np.array([-2.0, -0.3, 0.0, 0.21, 1.5])
+
+    @pytest.mark.parametrize("chain,widths", [
+        (tc.build_model_i(tc.ModelIParams(n_sites=6, gamma=5.0, delta=0.3)), (3, 3)),
+        (tc.adiabatic_eliminate(tc.ModelIIParams(n_cells=4, gamma=3.0)), (3, 3)),
+        (tc.build_model_ii_full(tc.ModelIIParams(n_cells=4, gamma=3.0)), (5, 5)),
+        (BANDED_CHAINS["uncoupled"](), (0, 0)),
+    ], ids=["model_i", "model_ii_effective", "model_ii_full", "uncoupled"])
+    def test_bandwidths(self, chain, widths):
+        bands = chain.bands
+        assert (bands.kl, bands.ku) == widths
+        assert chain.bands is bands
+        assert bands.band.shape == (2 * bands.kl + bands.ku + 1, 2 * chain.n)
+        # the band holds -H in site-major order, (p_0, h_0, p_1, h_1, ...)
+        h = tc.dynamical_matrix(chain).h
+        order = bands.order
+        np.testing.assert_array_equal(order[:4], [0, chain.n, 1, chain.n + 1])
+        a = np.zeros_like(h)
+        for j in range(2 * chain.n):
+            for i in range(max(0, j - bands.ku), min(2 * chain.n, j + bands.kl + 1)):
+                a[i, j] = bands.band[bands.kl + bands.ku + i - j, j]
+        np.testing.assert_array_equal(a, -h[np.ix_(order, order)])
+
+    @pytest.mark.parametrize("make", BANDED_CHAINS.values(), ids=BANDED_CHAINS)
+    @pytest.mark.parametrize("rows", [1, 70, 128, 10_000])
+    def test_batch_is_single_calls_bit_for_bit(self, monkeypatch, make, rows):
+        # rows per zgbsv call: 1 solves each frequency alone, 10_000 all at once
+        h = tc.dynamical_matrix(make())
+        omegas = np.linspace(-3.1, 2.9, 9)
+        singles = np.stack([tc.resolvent(h, [w])[0] for w in omegas])
+        monkeypatch.setattr(greensvd, "_BAND_ROWS", rows)
+        assert tc.resolvent(h, omegas).tobytes() == singles.tobytes()
+
+    @pytest.mark.parametrize("make", BANDED_CHAINS.values(), ids=BANDED_CHAINS)
+    def test_matches_the_dense_inverse(self, make):
+        c = make()
+        assert c.channels is None
+        h = tc.dynamical_matrix(c)
+        eye = np.eye(2 * c.n)
+        for w, gw in zip(self.OMEGAS, tc.resolvent(h, self.OMEGAS)):
+            a = w * eye - h.h
+            ref = np.linalg.inv(a)
+            bound = np.linalg.cond(a) * np.finfo(float).eps
+            assert np.linalg.norm(gw - ref) <= bound * np.linalg.norm(ref), w
+
+    def test_singular_shift_is_a_resonance(self):
+        h = tc.dynamical_matrix(hopping_pair())
+        assert h.source.channels is None and h.source.bands.kl == 2
+        with pytest.raises(tc.ResonanceError, match="omega=1.0 is resonant"):
+            tc.resolvent(h, np.array([0.5, 1.0, 2.0]))
+        assert np.all(np.isfinite(tc.resolvent(h, np.array([0.5, 2.0]))))
+
 
 class TestSingularValues:
     # the channel chain and frequencies of TestChannelSvd: 5 of the 10 nodes

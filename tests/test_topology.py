@@ -305,7 +305,8 @@ class TestZeroCount:
     def test_model_i_closings_match_the_gap_closure_frequencies(self, gamma):
         # the channel with damping kappa = gamma/2 -+ g_s closes its gap at
         # w = +-sqrt(4J^2 - kappa^2) wherever |kappa| < 2J (J = g_s = 1);
-        # gamma = 1.2 is left out, its kappa_- closing sits on a grid point
+        # gamma = 1.2, whose kappa_- closing sits on a grid point, is in
+        # TestNudgedRetry
         exact = sorted(sign * np.sqrt(4.0 - kappa**2)
                        for kappa in (gamma / 2 - 1, gamma / 2 + 1) if abs(kappa) < 2
                        for sign in (-1, 1))
@@ -451,16 +452,35 @@ class TestNudgedRetry:
         assert outcome(c, scan, n_omega=101) == outcome(c, n_omega=101)
         assert any(abs(w + self.NUDGE) < 1e-9 for w in asked)
 
-    def test_both_nudges_failing_is_a_gap_closing(self):
-        scan, _ = failing_near([0.0], 1e-3)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(topology, "winding_number", scan)
-            with pytest.raises(tc.GapClosingError) as err:
-                topology.winding_array(model_i(4.0), n_omega=101)
-        msg = str(err.value)
-        nudge = (np.linspace(-4.0, 4.0, 101)[1] + 4.0) * 1e-3
-        assert msg.startswith("gap closing at grid frequency omega=0.0")
-        assert f"both nudges omega={nudge} and omega={-nudge}" in msg
+    def test_both_nudges_failing_reads_the_zero_count(self):
+        # model_i(4.0) closes at +-sqrt(3); the scan fails at and near 0.0
+        # and 1.76, the grid point above the closing, whose bracket then
+        # ends at the nudge 1.76 + 8e-5, read by the zero count
+        c = model_i(4.0)
+        scan, asked = failing_near([0.0, 1.76], 1e-3)
+        result = outcome(c, scan, n_omega=101)
+        arr = json.loads(result)
+        assert arr["nus"] == [0, 1, 0]
+        np.testing.assert_allclose(arr["closings"], [-np.sqrt(3), np.sqrt(3)],
+                                   rtol=0, atol=0.5e-4)
+        check_against_mpmath(c, result)
+        assert any(abs(w - 1.76 + self.NUDGE) < 1e-9 for w in asked)
+
+    def test_grid_point_on_a_closing(self):
+        # model_i(1.2) closes at +-1.2 = +-sqrt(4 - 1.6^2), a point of the
+        # default 601-point grid; the scan raises there and at both nudges
+        c = model_i(1.2)
+        grid = np.linspace(-4.0, 4.0, 601)
+        nudge = (grid[1] - grid[0]) * 1e-3
+        for w in (grid[210], grid[390]):
+            assert abs(abs(w) - 1.2) < 1e-12
+            for omega in (w, w + nudge, w - nudge):
+                with pytest.raises(tc.GapClosingError):
+                    tc.winding_number(c, omega)
+        arr = tc.winding_array(c)
+        assert arr.nus == (0, 1, 0, 1, 0)
+        exact = [-np.sqrt(4 - 0.4**2), -1.2, 1.2, np.sqrt(4 - 0.4**2)]
+        np.testing.assert_allclose(arr.closings, exact, rtol=0, atol=0.5e-4)
 
 
 class TestTopologicalEquivalence:
