@@ -25,7 +25,7 @@ Config schema (YAML, all keys optional unless noted)::
       g_c_prime: 3.0          # model_ii only
       gamma_prime: 30.0       # model_ii only
     omega_grid: {min: -4.0, max: 4.0, count: 601}
-    winding: {n_k: 256, refine_tol: 1.0e-4}
+    winding: {n_k: 256, refine_tol: 1.0e-4}   # n_k from 1 to 262144
     correlations: {omega: 0.0, equal_time: true}
                               # reference_site is accepted and ignored
     disorder:
@@ -82,7 +82,7 @@ from .models import (
     build_model_ii_full,
     dynamical_matrix,
 )
-from .topology import GapClosingError, winding_array, winding_number
+from .topology import MAX_NK, GapClosingError, winding_array, winding_number
 from .validate import run_validation
 
 EXIT_OK = 0
@@ -234,6 +234,9 @@ class RunConfig:
         env = os.environ.get("TOPOCORR_THREADS", "1")
         if self.data["threads"] is None and not (env.strip().isdecimal() and int(env) > 0):
             raise ConfigError(f"TOPOCORR_THREADS must be a positive integer, got {env!r}")
+        n_k = self.data["winding"]["n_k"]
+        if not 1 <= n_k <= MAX_NK:
+            raise ConfigError(f"winding.n_k must be between 1 and {MAX_NK}, got {n_k}")
         if not self.data["winding"]["refine_tol"] > 0:
             raise ConfigError("winding.refine_tol must be positive, got "
                               f"{self.data['winding']['refine_tol']}")
@@ -347,8 +350,6 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         # Band structure is a property of the matrix family, not of a steady
         # state, so the stability gate does not apply under pbc.
         n_k = cfg.data["winding"]["n_k"]
-        if n_k < 1:
-            raise ValueError(f"n_k must be positive, got {n_k}")
         bloch = bloch_matrix(c, np.linspace(-np.pi, np.pi, n_k, endpoint=False))
         eye = np.eye(bloch.shape[-1])
         # one batched SVD per 8192 Bloch matrices: 32 frequencies at n_k = 256

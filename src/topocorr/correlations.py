@@ -273,27 +273,28 @@ def _integrand_factory(c: CouplingSet, h: DynamicalMatrix):
     return factors
 
 
-def _tail_correction(h, noise, omega_max):
-    """Analytic value of the integral beyond ``+-omega_max``.
+def _tail(h, noise):
+    """``tail(W) -> (correction, next_order)``: the analytic value of the
+    integral beyond ``+-W`` and the size of the first order it omits.
 
     From the resolvent series ``G = I/w + H/w^2 + ...`` the symmetric tail
     contributes ``D/(pi W)`` at leading order plus the third-order moment
-    term; odd orders cancel by symmetry.
+    term; odd orders cancel by symmetry.  The moment products and norms do
+    not depend on ``W`` and are formed here, once.
     """
     hc = h.conj()
-    first = noise / (np.pi * omega_max)
-    third = (hc @ hc @ noise + hc @ noise @ h.T + noise @ h.T @ h.T) / (
-        3 * np.pi * omega_max**3
-    )
-    return first + third
+    moments = hc @ hc @ noise + hc @ noise @ h.T + noise @ h.T @ h.T
+    bound = np.linalg.norm(noise, "fro") * np.linalg.norm(h, 2) ** 4
+
+    def tail(omega_max):
+        first = noise / (np.pi * omega_max)
+        third = moments / (3 * np.pi * omega_max**3)
+        return first + third, bound / (5 * np.pi * omega_max**5) * 3
+
+    return tail
 
 
-def _tail_next_order(h, noise, omega_max):
-    norm_h = np.linalg.norm(h, 2)
-    return np.linalg.norm(noise, "fro") * norm_h**4 / (5 * np.pi * omega_max**5) * 3
-
-
-def _choose_omega_max(c, h, factors, quad):
+def _choose_omega_max(h, factors, tail, quad):
     omega_max = 4.0 * max(np.max(np.abs(np.linalg.eigvals(h))), 1.0)
     # 21 nonnegative probes give the integrand at 41 points of [-W, W]; the
     # trace of I = Y Y^dagger is ||Y||_F^2
@@ -306,11 +307,10 @@ def _choose_omega_max(c, h, factors, quad):
         omega_max *= 2.0
     # the analytic tail handles what remains; make sure its own truncation
     # error is small relative to the leading tail term
-    noise = c.noise_matrix
-    while _tail_next_order(h, noise, omega_max) > 0.1 * np.linalg.norm(
-        _tail_correction(h, noise, omega_max), "fro"
-    ):
+    correction, next_order = tail(omega_max)
+    while next_order > 0.1 * np.linalg.norm(correction, "fro"):
         omega_max *= 2.0
+        correction, next_order = tail(omega_max)
     return omega_max
 
 
@@ -333,7 +333,8 @@ def equal_time(c: CouplingSet, quad: QuadratureSpec = QuadratureSpec()) -> Equal
     assert_stable(c, "equal_time")
     h = dynamical_matrix(c)
     factors = _integrand_factory(c, h)
-    omega_max = _choose_omega_max(c, h.h, factors, quad)
+    tail = _tail(h.h, c.noise_matrix)
+    omega_max = _choose_omega_max(h.h, factors, tail, quad)
     nodes, weights = leggauss(PANEL_NODES)
     root_weights = np.sqrt(np.concatenate([weights, weights]))[:, None]
 
@@ -389,9 +390,9 @@ def equal_time(c: CouplingSet, quad: QuadratureSpec = QuadratureSpec()) -> Equal
         else:
             worklist.append((lo, mid, left))
             worklist.append((mid, hi, right))
-    noise = c.noise_matrix
-    total = total + _tail_correction(h.h, noise, omega_max)
-    est_error += _tail_next_order(h.h, noise, omega_max)
+    correction, next_order = tail(omega_max)
+    total = total + correction
+    est_error += next_order
 
     n = c.n
     n_mat = total[:n, :n]
@@ -411,8 +412,9 @@ def lro_curve(c: CouplingSet, omegas) -> tuple[NDArray, NDArray, NDArray]:
     order of N-bar and M-bar over a grid (see :func:`lro_parameter`).
 
     ``N(w)`` and ``M(w)`` are the first ``n`` rows of ``I(w) = Y Y^dagger``,
-    as in :func:`freq_correlations`, with ``Y`` from the batched resolvents
-    of :func:`_integrand_factory` instead of an SVD.  The chain is
+    as in :func:`freq_correlations`, with ``Y = G* L`` from batched
+    resolvents instead of an SVD: the direct half of
+    :func:`_integrand_factory`, without its mirror half.  The chain is
     gated once.  The resolvents come in batches of ``PANEL_NODES``
     frequencies, so the peak memory is that of one quadrature panel.  A
     frequency whose resolvent raises :class:`ResonanceError` is dropped from
@@ -420,11 +422,13 @@ def lro_curve(c: CouplingSet, omegas) -> tuple[NDArray, NDArray, NDArray]:
     one.
     """
     assert_stable(c, "lro_curve")
-    factors = _integrand_factory(c, dynamical_matrix(c))
+    h = dynamical_matrix(c)
+    times_l, _ = _noise_factor(c)
     n = c.n
 
     def lambdas(ws):
-        n_bar, m_bar, _ = _normalized(*_first_rows(factors(ws)[0], n))
+        y = times_l(resolvent(h, ws), 0).conj()
+        n_bar, m_bar, _ = _normalized(*_first_rows(y, n))
         return [(w, lro_parameter(nb), lro_parameter(mb))
                 for w, nb, mb in zip(ws, n_bar, m_bar)]
 

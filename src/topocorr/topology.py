@@ -13,34 +13,35 @@ displacement ``R``, ``det(w*I - H(k))`` is a Laurent polynomial of degree
 degree ``2M`` in ``w``.  Its coefficient table is computed once per chain
 (``CouplingSet.bloch_det``, from ``2D+1`` Bloch matrices).
 
-* The grid frequencies take :func:`winding_number`, a k-grid scan: a
-  determinant on the momentum grid costs one polynomial evaluation per
-  k-point, with no Bloch matrix and no LU per frequency.  When the grid
-  doubles, the new grid contains the old one bit for bit and each point is
-  evaluated on its own, so only the new odd points are evaluated.  The rule
-  of the scan (doublings, the ``pi/2`` increment test, ``DET_CLOSING_TOL``
-  and nudges) is that of a scan over LU determinants of the Bloch matrices,
-  and the polynomial agrees with those to about 1e-15 of their largest
-  value, so both scans visit the same k-points and read the same windings.
-* The bisection of a closing, and a nudge that the scan cannot read,
-  take :func:`_zero_count`, the argument principle: the zeros of
-  ``z**D * det`` inside the unit circle, less ``D``.  It needs no k-grid,
-  so it counts a zero near ``|z| = 1`` that the scan's acceptance test can
-  pass over on a coarse grid, or that no grid resolves.  Where it
-  disagrees with the scan at a bracket end, the array raises
-  :class:`GapClosingError` instead of placing the closing from a wrong
-  winding.
+* :func:`winding_number` takes one k-grid pass: the determinant on the
+  ``n_k``-point momentum grid costs one polynomial evaluation per k-point,
+  with no Bloch matrix and no LU.  The polynomial agrees with the LU
+  determinants of the Bloch matrices to about 1e-15 of their largest
+  value.  The pass reads the winding where it certifies one: every phase
+  increment below ``pi/2`` and an integer total.  It raises
+  :class:`GapClosingError` where the determinant vanishes on the grid.
+* Everywhere else, and at every bisection midpoint, the winding comes from
+  :func:`_zero_count`, the argument principle: the zeros of ``z**D * det``
+  inside the unit circle, less ``D``.  It needs no k-grid, so it also
+  counts a zero that lies closer to ``|z| = 1`` than a grid resolves.
 
-The scan stays for the grid frequencies because the benchmark's tracer
+A grid frequency where the pass raises is read by the zero count one
+nudge further from ``w = 0`` (:func:`winding_array`).  A certified pass
+can still miss a zero near the unit circle; where the zero count
+disagrees with it at a bracket end, the array raises
+:class:`GapClosingError` instead of placing the closing from a wrong
+winding.
+
+The grid pass stays because the benchmark's tracer
 (``perfbench/spans.py``) wraps :func:`winding_number` and
 :func:`_bloch_determinants` by name and counts their calls; moving the
-grid to the zero count too waits for a trace the library records itself.
+grid frequencies to the zero count too waits for a trace the library
+records itself.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -49,7 +50,7 @@ from .models import CouplingSet, DynamicalMatrix
 
 DET_CLOSING_TOL = 1e-12
 _PHASE_INTEGER_TOL = 1e-6
-_MAX_NK = 1 << 18
+MAX_NK = 1 << 18
 
 
 class GapClosingError(RuntimeError):
@@ -76,10 +77,6 @@ class WindingArray:
         if list(self.closings) != sorted(self.closings):
             raise ValueError("closings must be ascending")
 
-    def to_json(self) -> str:
-        """The JSON body of the CLI's ``winding.json``."""
-        return json.dumps(asdict(self), sort_keys=True)
-
 
 def _horner(coefs, x):
     """``sum_i coefs[i] * x**(len(coefs) - 1 - i)`` by Horner's rule."""
@@ -89,70 +86,55 @@ def _horner(coefs, x):
     return acc
 
 
-def _bloch_determinants(
-    c: CouplingSet, omega: float, n_k: int, coarse: NDArray[np.complex128] | None = None
-) -> NDArray[np.complex128]:
+def _bloch_determinants(c: CouplingSet, omega: float, n_k: int) -> NDArray[np.complex128]:
     """det(w*I - H(k)) on the ``n_k``-point momentum grid.
 
     Evaluates the chain's Laurent polynomial (``CouplingSet.bloch_det``)
-    point by point at ``z = exp(1j*k)``.  ``coarse`` holds the determinants
-    on the ``n_k/2``-point grid, which are the even points of this one;
-    given it, only the odd points are evaluated.
+    point by point at ``z = exp(1j*k)``.
     """
     coef = _horner(c.bloch_det.T, omega)
-    ks = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
-    if coarse is not None:
-        ks = ks[1::2]
-    z = np.exp(1j * ks)
+    z = np.exp(1j * np.linspace(-np.pi, np.pi, n_k, endpoint=False))
     # powers 0..D in z, and -D..-1 in 1/z = conj(z)
     deg = len(coef) // 2
     vals = _horner(coef[deg:][::-1], z)
     if deg:
         zbar = z.conj()
         vals = vals + zbar * _horner(coef[:deg], zbar)
-    if coarse is None:
-        return vals
-    dets = np.empty(n_k, dtype=complex)
-    dets[0::2] = coarse
-    dets[1::2] = vals
-    return dets
+    return vals
 
 
 def winding_number(c: CouplingSet, omega: float, n_k: int = 256) -> int:
     """Phase winding of det(w*I - H(k)) around the Brillouin zone.
 
-    Accumulates principal-branch phase increments between consecutive grid
-    points (cyclically), doubling the grid until every increment is below
-    pi/2 and the total is within 1e-6 of an integer.
+    One pass over the ``n_k``-point grid accumulates the principal-branch
+    phase increments between consecutive points (cyclically).  Where every
+    increment is below pi/2 and the total is within 1e-6 of an integer,
+    that integer is the winding; otherwise the zero count
+    (:func:`_zero_count`) reads it.
 
     Raises
     ------
     GapClosingError
-        If the determinant vanishes on the grid (the frequency sits on a
-        gap closing) or the phase accumulation fails to settle.
+        If the determinant vanishes on the grid: the frequency sits on a
+        gap closing.
     ValueError
         If the chain has no cell blocks, or ``n_k`` is outside
-        ``[64, 2**18]``.
+        ``[64, MAX_NK]``.
     """
     if not c.translationally_invariant:
         raise ValueError("winding number requires a translationally invariant chain")
     if n_k < 64:
         raise ValueError("n_k must be at least 64")
-    if n_k > _MAX_NK:
-        raise ValueError(f"n_k must be at most {_MAX_NK}, got {n_k}")
-    dets = None
-    while n_k <= _MAX_NK:
-        dets = _bloch_determinants(c, omega, n_k, dets)
-        if np.min(np.abs(dets)) < DET_CLOSING_TOL:
-            raise GapClosingError(f"gap closing at omega={omega}")
-        increments = np.angle(np.roll(dets, -1) / dets)
-        total = increments.sum() / (2 * np.pi)
-        if np.max(np.abs(increments)) < np.pi / 2 and abs(total - round(total)) < _PHASE_INTEGER_TOL:
-            return int(round(total))
-        n_k *= 2
-    raise GapClosingError(
-        f"winding at omega={omega} did not converge; frequency is likely at a closing"
-    )
+    if n_k > MAX_NK:
+        raise ValueError(f"n_k must be at most {MAX_NK}, got {n_k}")
+    dets = _bloch_determinants(c, omega, n_k)
+    if np.min(np.abs(dets)) < DET_CLOSING_TOL:
+        raise GapClosingError(f"gap closing at omega={omega}")
+    increments = np.angle(np.roll(dets, -1) / dets)
+    total = increments.sum() / (2 * np.pi)
+    if np.max(np.abs(increments)) < np.pi / 2 and abs(total - round(total)) < _PHASE_INTEGER_TOL:
+        return int(round(total))
+    return _zero_count(c, omega)
 
 
 def topologically_equivalent(a: WindingArray, b: WindingArray) -> bool:
@@ -177,10 +159,10 @@ def _refine_closing(c, lo, hi, refine_tol):
     """Bisect a winding change down to ``refine_tol`` in frequency.
 
     ``lo`` and ``hi`` are the scan's readings ``(omega, nu)`` on either side
-    of the change, each taken at its grid frequency or, where the scan
-    nudged, at the nudge, so the change lies between them.  Each midpoint
-    takes its winding from the zero count of :func:`_zero_count`, so no
-    k-grid is scanned.  When a bracket hides several closings (hairline
+    of the change, each taken at its grid frequency or, where the pass
+    raised there, at the nudge, so the change lies between them.  Each
+    midpoint takes its winding from the zero count of :func:`_zero_count`,
+    so no k-grid is scanned.  When a bracket hides several closings (hairline
     intervals below the scan resolution), converge to the one adjacent to
     the outer (larger ``|omega|``) endpoint, so merged arrays stay
     reflection symmetric.
@@ -217,22 +199,6 @@ def _refine_closing(c, lo, hi, refine_tol):
     return 0.5 * (lo + hi)
 
 
-def _nudged_winding(c, w, nudge, n_k):
-    """``(omega, nu)``: the scan's winding at ``omega = w + nudge``, else at
-    ``w - nudge``, else the zero count at ``w + nudge``.
-
-    A closing on a grid point defeats the scan at both nudges when they lie
-    closer to it than the finest k-grid resolves; the zero count needs no
-    k-grid.
-    """
-    for omega in (w + nudge, w - nudge):
-        try:
-            return omega, winding_number(c, omega, n_k)
-        except GapClosingError:
-            pass
-    return w + nudge, _zero_count(c, w + nudge)
-
-
 def winding_array(
     c: CouplingSet,
     omega_max: float = 4.0,
@@ -243,10 +209,13 @@ def winding_array(
     """Winding numbers on the intervals between singular-gap closings.
 
     Scans a uniform frequency grid over ``[-omega_max, omega_max]`` with
-    :func:`winding_number`; each change of the winding number brackets a
-    closing, which bisection on the zero count (:func:`_refine_closing`)
-    then localizes to ``refine_tol``.  Closings narrower than the grid
-    spacing are absorbed into a single detected transition.
+    :func:`winding_number`; a grid frequency where it raises is read by the
+    zero count one nudge (1e-3 grid spacings) further from ``omega = 0``,
+    so the readings of a reflection-symmetric chain stay mirror images.
+    Each change of the winding number brackets a closing, which bisection
+    on the zero count (:func:`_refine_closing`) then localizes to
+    ``refine_tol``.  Closings narrower than the grid spacing are absorbed
+    into a single detected transition.
 
     Raises
     ------
@@ -260,14 +229,16 @@ def winding_array(
     if not refine_tol > 0:
         raise ValueError(f"refine_tol must be positive, got {refine_tol}")
     omegas = np.linspace(-omega_max, omega_max, n_omega)
+    nudge = (omegas[1] - omegas[0]) * 1e-3
     # (omega, nu) at each grid frequency, or at its nudge
     readings: list[tuple[float, int]] = []
     for w in omegas:
         try:
             readings.append((w, winding_number(c, w, n_k)))
         except GapClosingError:
-            # The grid landed on (or numerically at) a closing; nudge off it.
-            readings.append(_nudged_winding(c, w, (omegas[1] - omegas[0]) * 1e-3, n_k))
+            # The grid landed on (or numerically at) a closing; nudge outward.
+            omega = w + np.copysign(nudge, w)
+            readings.append((omega, _zero_count(c, omega)))
     if readings[0][1] != 0 or readings[-1][1] != 0:
         raise ValueError(
             f"winding at +-omega_max={omega_max} is nonzero; enlarge the window"

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import topocorr as tc
+from topocorr import cli
 from topocorr.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -22,6 +23,7 @@ from topocorr.cli import (
     _DEFAULTS,
     main,
 )
+from topocorr.topology import MAX_NK
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -127,6 +129,24 @@ class TestSpectrumCommand:
             expected.extend((w, band, s) for band, s in enumerate(svals[:, ::-1].min(axis=0)))
         rows = [row.split(",") for row in read_lines(tmp_path / "spectrum_pbc.csv")[2:]]
         assert [(float(w), int(b), float(s)) for w, b, s in rows] == expected
+
+    @pytest.mark.parametrize("n_k", [0, 10**8])
+    def test_pbc_grid_out_of_range_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                     n_k):
+        # 10**8 k-points would be about 6 GB of Bloch matrices; the config is
+        # rejected before any Bloch matrix is built
+        def no_scan(*args):
+            raise AssertionError("Bloch matrices built")
+
+        monkeypatch.setattr(cli, "bloch_matrix", no_scan)
+        cfgfile = tmp_path / "c.yaml"
+        cfgfile.write_text(yaml.safe_dump({"winding": {"n_k": n_k}}))
+        rc = run(["spectrum", "--config", str(cfgfile), "--bc", "pbc", "--n-sites", "4",
+                  "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: winding.n_k must be between 1 and {MAX_NK}, got {n_k}")
+        assert not (tmp_path / "out").exists()
 
     def test_instability_exit_code(self, tmp_path):
         rc = run([
@@ -279,7 +299,7 @@ def test_unreachable_quadrature_tolerance_exits_numerical(tmp_path, capsys):
     ("correlations", {"correlations": {"omega": [1]}}, "correlations.omega"),
     ("disorder", {"threads": "two"}, "threads"),
     ("disorder", {"threads": float("inf")}, "threads"),
-    ("winding", {"winding": {"n_k": 1000000}}, "n_k"),
+    ("winding", {"winding": {"n_k": 1000000}}, "winding.n_k"),
     ("winding", {"winding": {"refine_tol": 0}}, "winding.refine_tol"),
     ("winding", {"winding": {"refine_tol": -1}}, "winding.refine_tol"),
 ])
@@ -413,8 +433,8 @@ def test_gap_closing_reported_as_numerical_failure(tmp_path):
 
 def test_winding_reads_a_closing_on_a_grid_point(tmp_path):
     # model_i closes at +-1.2 for gamma = 1.2, on a point of the default
-    # grid, where the k-grid scan fails at the point and at both nudges;
-    # the zero count reads the nudge
+    # grid, where the k-grid pass certifies no winding; the zero count
+    # reads the point
     rc = run([
         "winding", "--model", "model_i", "--gamma", "1.2", "--n-sites", "40",
         "--out", str(tmp_path),

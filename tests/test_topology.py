@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import asdict
 
 import mpmath
 import numpy as np
@@ -89,7 +90,8 @@ class TestWindingArray:
         ]) == cli.EXIT_OK
         header, body = (tmp_path / "winding.json").read_text().splitlines()
         assert header.startswith("# topocorr")
-        assert body == tc.winding_array(model_i(4.0), n_omega=201).to_json()
+        arr = tc.winding_array(model_i(4.0), n_omega=201)
+        assert body == json.dumps(asdict(arr), sort_keys=True)
 
     def test_length_consistency_enforced(self):
         with pytest.raises(ValueError):
@@ -105,30 +107,28 @@ def grid(n_k):
 
 
 def oracle_winding_number(c):
-    """Reference per-frequency winding number: every call takes
-    det(w*I - H(k)) over the whole grid of a directly assembled Bloch batch,
-    with the doubling rule of :func:`topology.winding_number`; it takes no
-    strided view and reuses no determinant.  The batch is built once per
-    grid size to keep the oracle affordable; ``bloch_matrix`` is
-    deterministic, so its bits are those of a rebuild."""
+    """Reference per-frequency winding number: one pass over the LU
+    determinants of a directly assembled Bloch batch, with the acceptance
+    rule of :func:`topology.winding_number`, and the zero count wherever
+    that pass cannot certify a winding.  The batch is built once per grid
+    size to keep the oracle affordable; ``bloch_matrix`` is deterministic,
+    so its bits are those of a rebuild."""
     batches = {}
 
     def winding_number(chain, omega, n_k=256):
         assert chain is c
-        while n_k <= topology._MAX_NK:
-            if n_k not in batches:
-                batches[n_k] = tc.bloch_matrix(c, grid(n_k))
-            mats = batches[n_k]
-            dets = np.linalg.det(omega * np.eye(mats.shape[-1]) - mats)
-            if np.min(np.abs(dets)) < topology.DET_CLOSING_TOL:
-                raise tc.GapClosingError(f"gap closing at omega={omega}")
-            increments = np.angle(np.roll(dets, -1) / dets)
-            total = increments.sum() / (2 * np.pi)
-            if (np.max(np.abs(increments)) < np.pi / 2
-                    and abs(total - round(total)) < topology._PHASE_INTEGER_TOL):
-                return int(round(total))
-            n_k *= 2
-        raise tc.GapClosingError(f"winding at omega={omega} did not converge")
+        if n_k not in batches:
+            batches[n_k] = tc.bloch_matrix(c, grid(n_k))
+        mats = batches[n_k]
+        dets = np.linalg.det(omega * np.eye(mats.shape[-1]) - mats)
+        if np.min(np.abs(dets)) < topology.DET_CLOSING_TOL:
+            raise tc.GapClosingError(f"gap closing at omega={omega}")
+        increments = np.angle(np.roll(dets, -1) / dets)
+        total = increments.sum() / (2 * np.pi)
+        if (np.max(np.abs(increments)) < np.pi / 2
+                and abs(total - round(total)) < topology._PHASE_INTEGER_TOL):
+            return int(round(total))
+        return topology._zero_count(c, omega)
 
     return winding_number
 
@@ -141,7 +141,7 @@ def outcome(c, scan=None, **kw):
         if scan is not None:
             mp.setattr(topology, "winding_number", scan)
         try:
-            return topology.winding_array(c, **kw).to_json()
+            return json.dumps(asdict(topology.winding_array(c, **kw)), sort_keys=True)
         except (ValueError, tc.GapClosingError) as exc:
             return f"{type(exc).__name__}: {exc}"
 
@@ -193,11 +193,11 @@ def check_against_mpmath(c, result, refine_tol=1e-4):
 
 
 class TestSharedBlochGrid:
-    """The grid scan evaluates the chain's determinant polynomial and reuses
-    the coarse determinants; its winding numbers, and so the brackets, stay
-    those of the per-call LU scan, bit for bit.  The closings are bisected
-    on the zero count, which no monkeypatched scan reaches, so each one is
-    also checked against an independent mpmath crossing."""
+    """The grid scan evaluates the chain's determinant polynomial; its
+    winding numbers, and so the brackets, stay those of the per-call LU
+    scan, bit for bit.  The closings are bisected on the zero count, which
+    no monkeypatched scan reaches, so each one is also checked against an
+    independent mpmath crossing."""
 
     @pytest.mark.parametrize("make", CRITERION_2_CHAINS.values(), ids=CRITERION_2_CHAINS)
     def test_arrays_match_the_per_call_scan(self, make):
@@ -252,12 +252,6 @@ class TestSharedBlochGrid:
         # polynomial (D = 2 * unit cell * largest displacement); none per k-point
         assert sizes == [5, 9]
 
-    def test_coarse_determinants_are_reused(self):
-        c = model_ii_full(3.0)
-        coarse = topology._bloch_determinants(c, 0.7, 256)
-        fine = topology._bloch_determinants(c, 0.7, 512, coarse)
-        assert fine.tobytes() == topology._bloch_determinants(c, 0.7, 512).tobytes()
-
 
 # Chains whose k-grid scan accepts a wrong winding number at n_k = 256: a
 # zero of z^D det(w*I - H(z)) sits within 0.006 of the unit circle.  Each
@@ -306,7 +300,7 @@ class TestZeroCount:
         # the channel with damping kappa = gamma/2 -+ g_s closes its gap at
         # w = +-sqrt(4J^2 - kappa^2) wherever |kappa| < 2J (J = g_s = 1);
         # gamma = 1.2, whose kappa_- closing sits on a grid point, is in
-        # TestNudgedRetry
+        # test_grid_point_on_a_closing
         exact = sorted(sign * np.sqrt(4.0 - kappa**2)
                        for kappa in (gamma / 2 - 1, gamma / 2 + 1) if abs(kappa) < 2
                        for sign in (-1, 1))
@@ -337,24 +331,43 @@ class TestZeroCount:
             == cli.EXIT_NUMERICAL
         assert "by the zero count" in capsys.readouterr().err
 
-    def test_nudged_end_is_checked_where_the_scan_read_it(self):
-        # model_i(4.0) closes at +-sqrt(3); 1.76 is the grid point above it
+    def test_nudged_end_is_checked_where_the_scan_read_it(self, monkeypatch):
+        # model_i(4.0) closes at +-sqrt(3); 1.76 is the grid point above it.
+        # Where the scan raises, the bracket ends at the outward nudge,
+        # which the zero count read, and its end is checked there
         c = model_i(4.0)
         nudge = 8e-5
-        real = topology.winding_number
+        scan, _ = failing_near([1.76], 1e-9)
+        brackets = []
+        real = topology._refine_closing
 
-        def scan(chain, omega, n_k=256):
-            if omega == pytest.approx(1.76, abs=1e-12):
-                raise tc.GapClosingError(f"gap closing at omega={omega}")
-            if omega == pytest.approx(1.76 + nudge, abs=1e-12):
-                return 1  # wrong: the zero count there is 0
-            return real(chain, omega, n_k)
+        def refine(chain, lo, hi, refine_tol):
+            brackets.append((lo, hi))
+            return real(chain, lo, hi, refine_tol)
 
+        monkeypatch.setattr(topology, "_refine_closing", refine)
         result = outcome(c, scan, n_omega=101)
-        found = COUNT_MISMATCH.match(result)
-        assert found, result
-        assert float(found[1]) == pytest.approx(1.76 + nudge, abs=1e-12)
-        assert (int(found[2]), int(found[3])) == (1, 0)
+        (lo, hi), = [b for b in brackets if b[0][0] > 0]
+        assert lo == (pytest.approx(1.68, abs=1e-12), 1)
+        assert hi == (pytest.approx(1.76 + nudge, abs=1e-12), 0)
+        check_against_mpmath(c, result)
+
+    def test_grid_point_on_a_closing(self):
+        # model_i(1.2) closes at +-1.2 = +-sqrt(4 - 1.6^2), a point of the
+        # default 601-point grid; the one k-grid pass certifies no winding
+        # there, so the zero count reads it
+        c = model_i(1.2)
+        grid = np.linspace(-4.0, 4.0, 601)
+        for w in (grid[210], grid[390]):
+            assert abs(abs(w) - 1.2) < 1e-12
+            dets = topology._bloch_determinants(c, w, 256)
+            assert np.max(np.abs(np.angle(np.roll(dets, -1) / dets))) >= np.pi / 2
+            assert tc.winding_number(c, w) == topology._zero_count(c, w)
+        arr = tc.winding_array(c)
+        assert arr.nus == (0, 1, 0, 1, 0)
+        exact = [-np.sqrt(4 - 0.4**2), -1.2, 1.2, np.sqrt(4 - 0.4**2)]
+        np.testing.assert_allclose(arr.closings, exact, rtol=0, atol=0.5e-4)
+        check_against_mpmath(c, json.dumps(asdict(arr), sort_keys=True))
 
 
 def random_cell_blocks(unit_cell, reach, seed):
@@ -442,45 +455,36 @@ def failing_near(points, half_width):
     return scan, asked
 
 
-class TestNudgedRetry:
+class TestOutwardNudge:
     # 101-point grid on [-4, 4]: spacing 0.08, nudge 8e-5; 0.0 is a grid point
     NUDGE = 8e-5
 
-    def test_mirrored_nudge_when_the_first_fails(self):
+    def test_failing_grid_points_are_read_outward(self, monkeypatch):
+        # model_i(4.0) closes at +-sqrt(3); the scan fails at 0.0 and at
+        # +-1.76, the grid points just outside the closings.  The zero count
+        # reads each one nudge further from 0 (0.0 upward), and the scan is
+        # not asked again, so the brackets and the closings are mirror images
         c = model_i(4.0)
-        scan, asked = failing_near([0.0, self.NUDGE], 1e-9)
-        assert outcome(c, scan, n_omega=101) == outcome(c, n_omega=101)
-        assert any(abs(w + self.NUDGE) < 1e-9 for w in asked)
+        scan, asked = failing_near([0.0, -1.76, 1.76], 1e-9)
+        counted = []
+        real = topology._zero_count
 
-    def test_both_nudges_failing_reads_the_zero_count(self):
-        # model_i(4.0) closes at +-sqrt(3); the scan fails at and near 0.0
-        # and 1.76, the grid point above the closing, whose bracket then
-        # ends at the nudge 1.76 + 8e-5, read by the zero count
-        c = model_i(4.0)
-        scan, asked = failing_near([0.0, 1.76], 1e-3)
+        def count(chain, omega):
+            counted.append(omega)
+            return real(chain, omega)
+
+        monkeypatch.setattr(topology, "_zero_count", count)
         result = outcome(c, scan, n_omega=101)
+        for nudged in (self.NUDGE, -1.76 - self.NUDGE, 1.76 + self.NUDGE):
+            assert any(abs(w - nudged) < 1e-9 for w in counted), nudged
+            assert not any(abs(w - nudged) < 1e-9 for w in asked), nudged
         arr = json.loads(result)
         assert arr["nus"] == [0, 1, 0]
+        lo, hi = arr["closings"]
+        assert abs(lo + hi) < 1e-12
         np.testing.assert_allclose(arr["closings"], [-np.sqrt(3), np.sqrt(3)],
                                    rtol=0, atol=0.5e-4)
         check_against_mpmath(c, result)
-        assert any(abs(w - 1.76 + self.NUDGE) < 1e-9 for w in asked)
-
-    def test_grid_point_on_a_closing(self):
-        # model_i(1.2) closes at +-1.2 = +-sqrt(4 - 1.6^2), a point of the
-        # default 601-point grid; the scan raises there and at both nudges
-        c = model_i(1.2)
-        grid = np.linspace(-4.0, 4.0, 601)
-        nudge = (grid[1] - grid[0]) * 1e-3
-        for w in (grid[210], grid[390]):
-            assert abs(abs(w) - 1.2) < 1e-12
-            for omega in (w, w + nudge, w - nudge):
-                with pytest.raises(tc.GapClosingError):
-                    tc.winding_number(c, omega)
-        arr = tc.winding_array(c)
-        assert arr.nus == (0, 1, 0, 1, 0)
-        exact = [-np.sqrt(4 - 0.4**2), -1.2, 1.2, np.sqrt(4 - 0.4**2)]
-        np.testing.assert_allclose(arr.closings, exact, rtol=0, atol=0.5e-4)
 
 
 class TestTopologicalEquivalence:
