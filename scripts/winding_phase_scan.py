@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 import topocorr as tc
-from topocorr.topology import GapClosingError
 
 
 def scan(name, chain, gammas, out_path):
@@ -26,7 +25,7 @@ def scan(name, chain, gammas, out_path):
             c = chain(float(gamma))
             try:
                 arr = tc.winding_array(c)
-            except (GapClosingError, ValueError) as exc:
+            except ValueError as exc:
                 writer.writerow([f"{gamma:.3f}", "ERR", str(exc), ""])
                 continue
             writer.writerow([

@@ -25,7 +25,7 @@ Config schema (YAML, all keys optional unless noted)::
       g_c_prime: 3.0          # model_ii only
       gamma_prime: 30.0       # model_ii only
     omega_grid: {min: -4.0, max: 4.0, count: 601}
-    winding: {n_k: 256, refine_tol: 1.0e-4}   # n_k from 1 to 262144
+    winding: {n_k: 256, refine_tol: 1.0e-4}   # n_k from 1 to 262144; winding needs 64
     correlations: {omega: 0.0, equal_time: true}
                               # reference_site is accepted and ignored
     disorder:
@@ -82,7 +82,7 @@ from .models import (
     build_model_ii_full,
     dynamical_matrix,
 )
-from .topology import MAX_NK, GapClosingError, winding_array, winding_number
+from .topology import MAX_NK, MIN_NK, GapClosingError, winding_array, winding_number
 from .validate import run_validation
 
 EXIT_OK = 0
@@ -369,19 +369,24 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 def cmd_winding(cfg: RunConfig) -> int:
     """Winding-number array over the frequency window, as JSON."""
+    wcfg = cfg.data["winding"]
+    if wcfg["n_k"] < MIN_NK:
+        raise ConfigError(f"winding.n_k must be at least {MIN_NK} for winding, "
+                          f"got {wcfg['n_k']}")
     c = cfg.coupling_set()
     og = cfg.data["omega_grid"]
-    wcfg = cfg.data["winding"]
     arr = winding_array(
         c,
         omega_max=max(abs(og["min"]), abs(og["max"])),
         n_omega=og["count"],
         refine_tol=wcfg["refine_tol"],
-        n_k=wcfg["n_k"],
     )
     out = OutputWriter(cfg)
     out.json("winding.json", asdict(arr))
-    nu0 = winding_number(c, 0.0, wcfg["n_k"])
+    try:
+        nu0 = winding_number(c, 0.0, wcfg["n_k"])
+    except GapClosingError:
+        nu0 = "undefined, the gap closes at omega = 0"
     print(f"winding array: {arr.nus} closings at {[round(float(x), 6) for x in arr.closings]}"
           f" (nu(0) = {nu0})")
     for p in out.written:

@@ -7,36 +7,30 @@ winding-number array, the steady-state invariant: two chains are
 topologically equivalent iff their arrays have equal length and equal
 entries.
 
-The winding number has two routes.  With unit cell ``M`` and largest cell
-displacement ``R``, ``det(w*I - H(k))`` is a Laurent polynomial of degree
-``D = 2*M*R`` in ``z = exp(1j*k)`` whose coefficients are polynomials of
-degree ``2M`` in ``w``.  Its coefficient table is computed once per chain
+With unit cell ``M`` and largest cell displacement ``R``,
+``det(w*I - H(k))`` is a Laurent polynomial of degree ``D = 2*M*R`` in
+``z = exp(1j*k)`` whose coefficients are polynomials of degree ``2M`` in
+``w``.  Its coefficient table is computed once per chain
 (``CouplingSet.bloch_det``, from ``2D+1`` Bloch matrices).
 
-* :func:`winding_number` takes one k-grid pass: the determinant on the
-  ``n_k``-point momentum grid costs one polynomial evaluation per k-point,
-  with no Bloch matrix and no LU.  The polynomial agrees with the LU
-  determinants of the Bloch matrices to about 1e-15 of their largest
-  value.  The pass reads the winding where it certifies one: every phase
-  increment below ``pi/2`` and an integer total.  It raises
-  :class:`GapClosingError` where the determinant vanishes on the grid.
-* Everywhere else, and at every bisection midpoint, the winding comes from
-  :func:`_zero_count`, the argument principle: the zeros of ``z**D * det``
-  inside the unit circle, less ``D``.  It needs no k-grid, so it also
-  counts a zero that lies closer to ``|z| = 1`` than a grid resolves.
+The array has one route.  :func:`winding_array` reads every grid frequency
+and every bisection midpoint by :func:`_zero_count`, the argument
+principle: the zeros of ``z**D * det`` inside the unit circle, less ``D``.
+It needs no k-grid, so it also counts a zero that lies closer to
+``|z| = 1`` than a grid resolves.  A zero on the circle, to rounding, means
+the gap is closed at that frequency; the count then reads nothing, and the
+grid frequency drops out of the scan.  The count is taken at ``|w|``: the
+generator obeys ``C H* C = -H``, so ``det(-w*I - H(k))`` is the complex
+conjugate of ``det(w*I - H(-k))`` and the winding is even in ``w``.  The
+readings at ``+-w`` are the same bits; the grid's mirror points differ by
+at most an ulp, and a reading an ulp can change has a zero on the circle.
+So arrays come out mirror images.
 
-A grid frequency where the pass raises is read by the zero count one
-nudge further from ``w = 0`` (:func:`winding_array`).  A certified pass
-can still miss a zero near the unit circle; where the zero count
-disagrees with it at a bracket end, the array raises
-:class:`GapClosingError` instead of placing the closing from a wrong
-winding.
-
-The grid pass stays because the benchmark's tracer
-(``perfbench/spans.py``) wraps :func:`winding_number` and
-:func:`_bloch_determinants` by name and counts their calls; moving the
-grid frequencies to the zero count too waits for a trace the library
-records itself.
+:func:`winding_number` takes one k-grid pass: the determinant on the
+``n_k``-point momentum grid, one polynomial evaluation per k-point, read
+where the pass certifies a winding and by the zero count elsewhere.  It
+stays for library callers and for the ``nu(0)`` line of ``topocorr
+winding``, which the benchmark's tracer (``perfbench/spans.py``) counts.
 """
 
 from __future__ import annotations
@@ -50,11 +44,15 @@ from .models import CouplingSet, DynamicalMatrix
 
 DET_CLOSING_TOL = 1e-12
 _PHASE_INTEGER_TOL = 1e-6
+MIN_NK = 64
 MAX_NK = 1 << 18
+# A zero of the determinant polynomial this close to |z| = 1 lies on it: at an
+# exact closing, rounding leaves it within about 3e-12 (model_i, the dimers).
+_CIRCLE_TOL = 1e-9
 
 
 class GapClosingError(RuntimeError):
-    """det(w*I - H(k)) vanishes on the momentum grid: the gap is closed."""
+    """det(w*I - H(k)) vanishes at a real momentum: the gap is closed."""
 
 
 @dataclass(frozen=True)
@@ -115,16 +113,16 @@ def winding_number(c: CouplingSet, omega: float, n_k: int = 256) -> int:
     Raises
     ------
     GapClosingError
-        If the determinant vanishes on the grid: the frequency sits on a
-        gap closing.
+        If the determinant vanishes on the grid, or the zero count finds a
+        zero on the unit circle: the frequency sits on a gap closing.
     ValueError
         If the chain has no cell blocks, or ``n_k`` is outside
-        ``[64, MAX_NK]``.
+        ``[MIN_NK, MAX_NK]``.
     """
     if not c.translationally_invariant:
         raise ValueError("winding number requires a translationally invariant chain")
-    if n_k < 64:
-        raise ValueError("n_k must be at least 64")
+    if n_k < MIN_NK:
+        raise ValueError(f"n_k must be at least {MIN_NK}, got {n_k}")
     if n_k > MAX_NK:
         raise ValueError(f"n_k must be at most {MAX_NK}, got {n_k}")
     dets = _bloch_determinants(c, omega, n_k)
@@ -134,7 +132,10 @@ def winding_number(c: CouplingSet, omega: float, n_k: int = 256) -> int:
     total = increments.sum() / (2 * np.pi)
     if np.max(np.abs(increments)) < np.pi / 2 and abs(total - round(total)) < _PHASE_INTEGER_TOL:
         return int(round(total))
-    return _zero_count(c, omega)
+    nu = _zero_count(c, omega)
+    if nu is None:
+        raise GapClosingError(f"gap closing at omega={omega}")
+    return nu
 
 
 def topologically_equivalent(a: WindingArray, b: WindingArray) -> bool:
@@ -142,45 +143,37 @@ def topologically_equivalent(a: WindingArray, b: WindingArray) -> bool:
     return len(a.nus) == len(b.nus) and all(x == y for x, y in zip(a.nus, b.nus))
 
 
-def _zero_count(c: CouplingSet, omega: float) -> int:
-    """Winding number at ``omega`` by the argument principle.
+def _zero_count(c: CouplingSet, omega: float) -> int | None:
+    """Winding number at ``|omega|`` by the argument principle.
 
     ``z**D * det(w*I - H(z))`` is a polynomial of degree ``2D`` in ``z``, so
     the winding of the determinant around ``|z| = 1`` is the number of its
     zeros inside the circle less the order ``D`` of the pole at 0.
     ``np.roots`` drops a vanishing leading coefficient (a zero at infinity,
     outside) and returns a vanishing trailing one as a zero at 0 (inside).
+    The winding is even in ``omega`` (module docstring), so ``+-omega`` read
+    the same bits.  Returns None where a zero lies within ``_CIRCLE_TOL`` of
+    ``|z| = 1``: the gap is closed at ``omega`` and the winding undefined.
     """
-    coef = _horner(c.bloch_det.T, omega)
-    return int(np.count_nonzero(np.abs(np.roots(coef[::-1])) < 1.0)) - len(coef) // 2
+    coef = _horner(c.bloch_det.T, abs(omega))
+    moduli = np.abs(np.roots(coef[::-1]))
+    if np.any(np.abs(moduli - 1.0) < _CIRCLE_TOL):
+        return None
+    return int(np.count_nonzero(moduli < 1.0)) - len(coef) // 2
 
 
 def _refine_closing(c, lo, hi, refine_tol):
     """Bisect a winding change down to ``refine_tol`` in frequency.
 
-    ``lo`` and ``hi`` are the scan's readings ``(omega, nu)`` on either side
-    of the change, each taken at its grid frequency or, where the pass
-    raised there, at the nudge, so the change lies between them.  Each
-    midpoint takes its winding from the zero count of :func:`_zero_count`,
-    so no k-grid is scanned.  When a bracket hides several closings (hairline
-    intervals below the scan resolution), converge to the one adjacent to
-    the outer (larger ``|omega|``) endpoint, so merged arrays stay
-    reflection symmetric.
-
-    Raises
-    ------
-    GapClosingError
-        If the zero count at either end disagrees with the scan's ``nu``
-        there: the k-grid missed a zero near the unit circle, and bisecting
-        would misplace the closing.
+    ``lo`` and ``hi`` are the readings ``(omega, nu)`` at the grid
+    frequencies on either side of the change.  Each midpoint takes its
+    winding from :func:`_zero_count`; a midpoint on a closing reads None,
+    which differs from both ends, so the bracket keeps the side toward the
+    outer end.  When a bracket hides several closings (hairline intervals
+    below the grid spacing), converge to the one adjacent to the outer
+    (larger ``|omega|``) endpoint, so merged arrays stay reflection
+    symmetric.
     """
-    for omega, nu in (lo, hi):
-        count = _zero_count(c, omega)
-        if count != nu:
-            raise GapClosingError(
-                f"winding at omega={omega} reads {nu} on the k-grid but {count} by the "
-                f"zero count; a zero of det(w*I - H(z)) lies too close to |z| = 1"
-            )
     (lo, nu_lo), (hi, nu_hi) = lo, hi
     follow_lo = abs(lo) >= abs(hi)
     while hi - lo > refine_tol:
@@ -204,47 +197,39 @@ def winding_array(
     omega_max: float = 4.0,
     n_omega: int = 601,
     refine_tol: float = 1e-4,
-    n_k: int = 256,
 ) -> WindingArray:
     """Winding numbers on the intervals between singular-gap closings.
 
-    Scans a uniform frequency grid over ``[-omega_max, omega_max]`` with
-    :func:`winding_number`; a grid frequency where it raises is read by the
-    zero count one nudge (1e-3 grid spacings) further from ``omega = 0``,
-    so the readings of a reflection-symmetric chain stay mirror images.
-    Each change of the winding number brackets a closing, which bisection
-    on the zero count (:func:`_refine_closing`) then localizes to
-    ``refine_tol``.  Closings narrower than the grid spacing are absorbed
-    into a single detected transition.
+    Reads the zero count (:func:`_zero_count`) on a uniform frequency grid
+    over ``[-omega_max, omega_max]``, skipping a grid frequency where the
+    gap is closed.  Each change of the winding number between readings
+    brackets a closing, which bisection on the same count
+    (:func:`_refine_closing`) then localizes to ``refine_tol``.  Closings
+    narrower than the grid spacing are absorbed into a single detected
+    transition.
 
     Raises
     ------
-    GapClosingError
-        If the scan's winding at a bracket end disagrees with the zero
-        count.
     ValueError
-        If the winding at ``+-omega_max`` is nonzero, or ``refine_tol`` is
+        If the winding at ``+-omega_max`` is not zero, ``omega_max`` is not
+        finite and positive, ``n_omega`` is below 2, or ``refine_tol`` is
         not positive.
     """
     if not refine_tol > 0:
         raise ValueError(f"refine_tol must be positive, got {refine_tol}")
+    if n_omega < 2:
+        raise ValueError(f"n_omega must be at least 2, got {n_omega}")
+    if not 0 < omega_max < np.inf:
+        raise ValueError(f"omega_max must be finite and positive, got {omega_max}")
     omegas = np.linspace(-omega_max, omega_max, n_omega)
-    nudge = (omegas[1] - omegas[0]) * 1e-3
-    # (omega, nu) at each grid frequency, or at its nudge
-    readings: list[tuple[float, int]] = []
-    for w in omegas:
-        try:
-            readings.append((w, winding_number(c, w, n_k)))
-        except GapClosingError:
-            # The grid landed on (or numerically at) a closing; nudge outward.
-            omega = w + np.copysign(nudge, w)
-            readings.append((omega, _zero_count(c, omega)))
-    if readings[0][1] != 0 or readings[-1][1] != 0:
+    counts = [_zero_count(c, w) for w in omegas]
+    if counts[0] != 0 or counts[-1] != 0:
         raise ValueError(
-            f"winding at +-omega_max={omega_max} is nonzero; enlarge the window"
+            f"winding at +-omega_max={omega_max} is not zero; enlarge the window"
         )
+    readings = [(w, nu) for w, nu in zip(omegas, counts) if nu is not None]
     closings: list[float] = []
-    nus = [readings[0][1]]
+    nus = [0]
     for lo, hi in zip(readings[:-1], readings[1:]):
         if hi[1] != lo[1]:
             closings.append(_refine_closing(c, lo, hi, refine_tol))

@@ -23,7 +23,7 @@ from topocorr.cli import (
     _DEFAULTS,
     main,
 )
-from topocorr.topology import MAX_NK
+from topocorr.topology import MAX_NK, MIN_NK
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -206,6 +206,32 @@ class TestWindingCommand:
         assert capsys.readouterr().out.splitlines()[0] == (
             f"winding array: (0, 1, 0) closings at [{rounded}] (nu(0) = 1)"
         )
+
+    @pytest.mark.parametrize("gamma,nus", [(2.0, [0, 1, 0]), (6.0, [0])])
+    def test_gap_closing_at_zero_leaves_nu0_undefined(self, tmp_path, capsys, gamma, nus):
+        # model_i's gap closes at omega = 0 for gamma = 2 and 6: the array is
+        # written, and nu(0) is reported as undefined rather than an error
+        rc = run(["winding", "--model", "model_i", "--gamma", str(gamma), "--n-sites", "20",
+                  "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert json.loads(read_lines(tmp_path / "winding.json")[1])["nus"] == nus
+        assert "(nu(0) = undefined, the gap closes at omega = 0)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n_k", [1, MIN_NK - 1])
+    def test_grid_below_the_winding_floor_is_a_config_error(self, tmp_path, capsys, n_k):
+        # spectrum --bc pbc accepts these grids; the winding pass needs MIN_NK
+        cfgfile = tmp_path / "c.yaml"
+        cfgfile.write_text(yaml.safe_dump({"winding": {"n_k": n_k},
+                                           "omega_grid": {"count": 3}}))
+        rc = run(["winding", "--config", str(cfgfile), "--n-sites", "4",
+                  "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error: winding.n_k must be at least {MIN_NK} for winding, "
+            f"got {n_k}\n")
+        assert not (tmp_path / "out").exists()
+        assert run(["spectrum", "--config", str(cfgfile), "--bc", "pbc", "--n-sites", "4",
+                    "--out", str(tmp_path / "pbc")]) == EXIT_OK
 
 
 class TestCorrelationsCommand:
@@ -433,8 +459,8 @@ def test_gap_closing_reported_as_numerical_failure(tmp_path):
 
 def test_winding_reads_a_closing_on_a_grid_point(tmp_path):
     # model_i closes at +-1.2 for gamma = 1.2, on a point of the default
-    # grid, where the k-grid pass certifies no winding; the zero count
-    # reads the point
+    # grid; the zero count finds the gap closed there, the point drops out,
+    # and the closings are mirror images
     rc = run([
         "winding", "--model", "model_i", "--gamma", "1.2", "--n-sites", "40",
         "--out", str(tmp_path),
@@ -444,6 +470,8 @@ def test_winding_reads_a_closing_on_a_grid_point(tmp_path):
     assert arr["nus"] == [0, 1, 0, 1, 0]
     exact = [-np.sqrt(4 - 0.4**2), -1.2, 1.2, np.sqrt(4 - 0.4**2)]
     np.testing.assert_allclose(arr["closings"], exact, rtol=0, atol=0.5e-4)
+    assert abs(arr["closings"][0] + arr["closings"][3]) < 1e-12
+    assert abs(arr["closings"][1] + arr["closings"][2]) < 1e-12
 
 
 def old_csv_value(x) -> str:

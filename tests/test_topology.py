@@ -1,5 +1,5 @@
+import bisect
 import json
-import re
 from dataclasses import asdict
 
 import mpmath
@@ -109,41 +109,25 @@ def grid(n_k):
 def oracle_winding_number(c):
     """Reference per-frequency winding number: one pass over the LU
     determinants of a directly assembled Bloch batch, with the acceptance
-    rule of :func:`topology.winding_number`, and the zero count wherever
-    that pass cannot certify a winding.  The batch is built once per grid
-    size to keep the oracle affordable; ``bloch_matrix`` is deterministic,
-    so its bits are those of a rebuild."""
-    batches = {}
+    rule of :func:`topology.winding_number`; None wherever that pass
+    certifies no winding.  The batch is built once to keep the oracle
+    affordable; ``bloch_matrix`` is deterministic, so its bits are those of
+    a rebuild."""
+    mats = tc.bloch_matrix(c, grid(256))
+    eye = np.eye(mats.shape[-1])
 
-    def winding_number(chain, omega, n_k=256):
-        assert chain is c
-        if n_k not in batches:
-            batches[n_k] = tc.bloch_matrix(c, grid(n_k))
-        mats = batches[n_k]
-        dets = np.linalg.det(omega * np.eye(mats.shape[-1]) - mats)
+    def winding_number(omega):
+        dets = np.linalg.det(omega * eye - mats)
         if np.min(np.abs(dets)) < topology.DET_CLOSING_TOL:
-            raise tc.GapClosingError(f"gap closing at omega={omega}")
+            return None
         increments = np.angle(np.roll(dets, -1) / dets)
         total = increments.sum() / (2 * np.pi)
         if (np.max(np.abs(increments)) < np.pi / 2
                 and abs(total - round(total)) < topology._PHASE_INTEGER_TOL):
             return int(round(total))
-        return topology._zero_count(c, omega)
+        return None
 
     return winding_number
-
-
-def outcome(c, scan=None, **kw):
-    """JSON of ``winding_array(c, **kw)``, or the error it raises; ``scan``
-    replaces the k-grid scan of the grid frequencies (the bisection counts
-    zeros and never calls it)."""
-    with pytest.MonkeyPatch.context() as mp:
-        if scan is not None:
-            mp.setattr(topology, "winding_number", scan)
-        try:
-            return json.dumps(asdict(topology.winding_array(c, **kw)), sort_keys=True)
-        except (ValueError, tc.GapClosingError) as exc:
-            return f"{type(exc).__name__}: {exc}"
 
 
 CRITERION_2_CHAINS = {
@@ -173,39 +157,37 @@ def mp_winding(c, omega):
         return at_zero + sum(abs(r) < 1 for r in roots) - deg
 
 
-COUNT_MISMATCH = re.compile(
-    r"GapClosingError: winding at omega=(\S+) reads (-?\d+) on the k-grid "
-    r"but (-?\d+) by the zero count")
+def check_against_mpmath(c, closings, refine_tol=1e-4):
+    """Each closing has a crossing within ``refine_tol/2``: the mpmath
+    winding differs on its two sides."""
+    for w in closings:
+        assert mp_winding(c, w - refine_tol / 2) != mp_winding(c, w + refine_tol / 2), w
 
 
-def check_against_mpmath(c, result, refine_tol=1e-4):
-    """Each closing of an array has a crossing within ``refine_tol/2``: the
-    mpmath winding differs on its two sides.  A count mismatch the scan
-    reports is the mpmath winding against the scan's."""
-    if result.startswith("{"):
-        for w in json.loads(result)["closings"]:
-            assert mp_winding(c, w - refine_tol / 2) != mp_winding(c, w + refine_tol / 2), w
-    else:
-        found = COUNT_MISMATCH.match(result)
-        if found:
-            omega, scan, count = float(found[1]), int(found[2]), int(found[3])
-            assert mp_winding(c, omega) == count != scan, result
+def checked_array(c, n_omega=601):
+    """``winding_array(c, n_omega=n_omega)``, once the winding it gives every
+    grid frequency has been checked: equal to the LU pass where that pass
+    certifies a winding, and to the mpmath winding where the two differ."""
+    arr = topology.winding_array(c, n_omega=n_omega)
+    scan = oracle_winding_number(c)
+    for w in np.linspace(-4.0, 4.0, n_omega):
+        nu = arr.nus[bisect.bisect(arr.closings, w)]
+        if scan(w) != nu:
+            assert mp_winding(c, w) == nu, w
+    return arr
 
 
 class TestSharedBlochGrid:
-    """The grid scan evaluates the chain's determinant polynomial; its
-    winding numbers, and so the brackets, stay those of the per-call LU
-    scan, bit for bit.  The closings are bisected on the zero count, which
-    no monkeypatched scan reaches, so each one is also checked against an
-    independent mpmath crossing."""
+    """The array reads every grid frequency and every bisection midpoint by
+    the zero count of the chain's determinant polynomial.  Its winding at
+    each grid frequency is checked against the per-call LU scan, or against
+    an independent mpmath count where the two differ, and each closing
+    against an mpmath crossing."""
 
     @pytest.mark.parametrize("make", CRITERION_2_CHAINS.values(), ids=CRITERION_2_CHAINS)
     def test_arrays_match_the_per_call_scan(self, make):
         c = make()
-        expected = outcome(c, oracle_winding_number(c))
-        assert outcome(c) == expected
-        assert expected.startswith("{")
-        check_against_mpmath(c, expected)
+        check_against_mpmath(c, checked_array(c).closings)
 
     @given(gamma=st.floats(2.0, 6.0), g_c_prime=st.floats(1.5, 5.0),
            gamma_prime=st.floats(15.0, 50.0))
@@ -213,14 +195,12 @@ class TestSharedBlochGrid:
     # a zero pair crosses |z| = 1 together (nu 2 -> 0); bisecting on the
     # k-grid scan put the closings at +-1.6347, 0.0011 from the crossing
     @example(gamma=2.0, g_c_prime=3.0, gamma_prime=15.0)
-    # the grid point -2.0 is nudged to -1.99992, and the crossing at
-    # -1.99998 lies between the two: the bracket ends at the nudge
+    # a crossing at -1.99998 lies 2e-5 from the grid point -2.0, where the
+    # determinant all but vanishes on the k-grid
     @example(gamma=4.0625, g_c_prime=2.8359375, gamma_prime=15.15625)
     def test_arrays_match_the_per_call_scan_on_a_sweep(self, gamma, g_c_prime, gamma_prime):
         c = effective_ii(gamma, g_c_prime, gamma_prime)
-        expected = outcome(c, oracle_winding_number(c), n_omega=101)
-        assert outcome(c, n_omega=101) == expected
-        check_against_mpmath(c, expected)
+        check_against_mpmath(c, checked_array(c, n_omega=101).closings)
 
     @given(gamma=st.floats(2.0, 6.0), g_c_prime=st.floats(1.5, 5.0),
            gamma_prime=st.floats(15.0, 50.0))
@@ -231,9 +211,7 @@ class TestSharedBlochGrid:
                                                                   gamma_prime):
         c = tc.build_model_ii_full(tc.ModelIIParams(
             n_cells=2, gamma=gamma, g_c_prime=g_c_prime, gamma_prime=gamma_prime))
-        expected = outcome(c, oracle_winding_number(c), n_omega=101)
-        assert outcome(c, n_omega=101) == expected
-        check_against_mpmath(c, expected)
+        check_against_mpmath(c, checked_array(c, n_omega=101).closings)
 
     def test_each_k_point_is_assembled_once(self, monkeypatch):
         sizes = []
@@ -255,20 +233,23 @@ class TestSharedBlochGrid:
 
 # Chains whose k-grid scan accepts a wrong winding number at n_k = 256: a
 # zero of z^D det(w*I - H(z)) sits within 0.006 of the unit circle.  Each
-# entry: the grid frequency, the scan's winding there and the zero count's.
-# 40-digit mpmath roots give the count's value: at w = +-1.76 the first
-# chain's zeros have |z| = 0.994800 and 0.996708 (nu = 2), at w = +-1.68 the
-# second's have |z| = 1.000049 and 1.009104 (nu = 0).
+# entry: a frequency of the 101-point grid, the scan's winding there, the
+# zero count's, and the positive closings, from 40-digit mpmath
+# crossings.  40-digit mpmath roots give the count's value: at w = +-1.76 the
+# first chain's zeros have |z| = 0.994800 and 0.996708 (nu = 2), at
+# w = +-1.68 the second's have |z| = 1.000049 and 1.009104 (nu = 0).
 SCAN_MISSES = {
     "near-double-zero": (dict(gamma=3.53886118150175, g_c_prime=4.485357506771523,
-                              gamma_prime=24.450562360566302), -1.76, 1, 2),
+                              gamma_prime=24.450562360566302), -1.76, 1, 2,
+                         (1.771101, 1.775884)),
     "outer-closing": (dict(gamma=1.1784013938679807, g_c_prime=3.059555281085481,
-                           gamma_prime=28.648241013011564), -1.68, 1, 0),
+                           gamma_prime=28.648241013011564), -1.68, 1, 0,
+                      (1.659564, 1.679892)),
 }
 
 
 class TestZeroCount:
-    """Bisection takes the winding from the zeros of the determinant
+    """The array takes the winding from the zeros of the determinant
     polynomial inside the unit circle (argument principle), not from a
     k-grid."""
 
@@ -283,17 +264,13 @@ class TestZeroCount:
             assert topology._zero_count(c, w) == nu, w
 
     def test_bisection_scans_no_k_grid(self, monkeypatch):
-        calls = []
-        real = topology.winding_number
+        def no_scan(*args):
+            raise AssertionError("k-grid scanned")
 
-        def counting(c, omega, n_k=256):
-            calls.append(omega)
-            return real(c, omega, n_k)
-
-        monkeypatch.setattr(topology, "winding_number", counting)
+        monkeypatch.setattr(topology, "winding_number", no_scan)
+        monkeypatch.setattr(topology, "_bloch_determinants", no_scan)
         arr = topology.winding_array(model_i(1.6), n_omega=101)
         assert len(arr.closings) == 4
-        assert len(calls) == 101
 
     @pytest.mark.parametrize("gamma", [1.1, 1.6, 2.5, 3.0, 4.0, 5.0, 5.5])
     def test_model_i_closings_match_the_gap_closure_frequencies(self, gamma):
@@ -308,18 +285,20 @@ class TestZeroCount:
         assert len(arr.closings) == len(exact)
         np.testing.assert_allclose(arr.closings, exact, rtol=0, atol=0.5e-4)
 
-    @pytest.mark.parametrize("params,omega,scan,count", SCAN_MISSES.values(), ids=SCAN_MISSES)
-    def test_scan_miss_at_a_bracket_end_is_a_gap_closing(self, params, omega, scan, count):
+    @pytest.mark.parametrize("params,omega,scan,count,exact", SCAN_MISSES.values(),
+                             ids=SCAN_MISSES)
+    def test_scan_miss_chain_returns_the_exact_array(self, params, omega, scan, count, exact):
         c = effective_ii(**params)
-        with pytest.raises(tc.GapClosingError) as err:
-            topology.winding_array(c, n_omega=101)
-        found = COUNT_MISMATCH.match(f"GapClosingError: {err.value}")
-        assert found, str(err.value)
-        assert float(found[1]) == pytest.approx(omega, abs=1e-12)
-        assert (int(found[2]), int(found[3])) == (scan, count)
-        assert mp_winding(c, omega) == mp_winding(c, -omega) == count
+        # the k-grid pass certifies a wrong winding where the count is right
+        assert tc.winding_number(c, omega) == scan
+        assert topology._zero_count(c, omega) == mp_winding(c, omega) == count
+        arr = tc.winding_array(c)
+        assert arr.nus == (0, 1, 2, 1, 0)
+        np.testing.assert_allclose(arr.closings, [-exact[1], -exact[0], *exact],
+                                   rtol=0, atol=5e-5)
+        check_against_mpmath(c, arr.closings)
 
-    def test_scan_miss_is_an_exit_4(self, tmp_path, capsys):
+    def test_scan_miss_chain_is_an_exit_0(self, tmp_path):
         params, *_ = SCAN_MISSES["near-double-zero"]
         cfgfile = tmp_path / "cfg.yaml"
         cfgfile.write_text(
@@ -328,46 +307,39 @@ class TestZeroCount:
             f"g_c_prime: {params['g_c_prime']!r}, gamma_prime: {params['gamma_prime']!r}}}\n"
         )
         assert cli.main(["winding", "--config", str(cfgfile), "--out", str(tmp_path)]) \
-            == cli.EXIT_NUMERICAL
-        assert "by the zero count" in capsys.readouterr().err
-
-    def test_nudged_end_is_checked_where_the_scan_read_it(self, monkeypatch):
-        # model_i(4.0) closes at +-sqrt(3); 1.76 is the grid point above it.
-        # Where the scan raises, the bracket ends at the outward nudge,
-        # which the zero count read, and its end is checked there
-        c = model_i(4.0)
-        nudge = 8e-5
-        scan, _ = failing_near([1.76], 1e-9)
-        brackets = []
-        real = topology._refine_closing
-
-        def refine(chain, lo, hi, refine_tol):
-            brackets.append((lo, hi))
-            return real(chain, lo, hi, refine_tol)
-
-        monkeypatch.setattr(topology, "_refine_closing", refine)
-        result = outcome(c, scan, n_omega=101)
-        (lo, hi), = [b for b in brackets if b[0][0] > 0]
-        assert lo == (pytest.approx(1.68, abs=1e-12), 1)
-        assert hi == (pytest.approx(1.76 + nudge, abs=1e-12), 0)
-        check_against_mpmath(c, result)
+            == cli.EXIT_OK
+        arr = json.loads((tmp_path / "winding.json").read_text().splitlines()[1])
+        assert arr["nus"] == [0, 1, 2, 1, 0]
 
     def test_grid_point_on_a_closing(self):
         # model_i(1.2) closes at +-1.2 = +-sqrt(4 - 1.6^2), a point of the
-        # default 601-point grid; the one k-grid pass certifies no winding
-        # there, so the zero count reads it
+        # default 601-point grid; the zero count finds a zero on the unit
+        # circle there, so both points drop out and the neighbours bracket
+        # the closing
         c = model_i(1.2)
         grid = np.linspace(-4.0, 4.0, 601)
         for w in (grid[210], grid[390]):
             assert abs(abs(w) - 1.2) < 1e-12
-            dets = topology._bloch_determinants(c, w, 256)
-            assert np.max(np.abs(np.angle(np.roll(dets, -1) / dets))) >= np.pi / 2
-            assert tc.winding_number(c, w) == topology._zero_count(c, w)
+            assert topology._zero_count(c, w) is None
         arr = tc.winding_array(c)
         assert arr.nus == (0, 1, 0, 1, 0)
         exact = [-np.sqrt(4 - 0.4**2), -1.2, 1.2, np.sqrt(4 - 0.4**2)]
         np.testing.assert_allclose(arr.closings, exact, rtol=0, atol=0.5e-4)
-        check_against_mpmath(c, json.dumps(asdict(arr), sort_keys=True))
+        for lo, hi in ((0, 3), (1, 2)):
+            assert abs(arr.closings[lo] + arr.closings[hi]) < 1e-12
+        check_against_mpmath(c, arr.closings)
+
+    @pytest.mark.parametrize("gamma,nus", [(6.0, (0,)), (2.0, (0, 1, 0))])
+    def test_touch_at_zero_adds_no_window(self, gamma, nus):
+        # at gamma = 6 (kappa_- = 2J) and gamma = 2 (kappa_+ = 2J) a zero
+        # touches |z| = 1 at w = 0 alone; the winding is the same on both
+        # sides, so the grid point 0 drops out without a closing
+        c = model_i(gamma)
+        assert topology._zero_count(c, 0.0) is None
+        assert mp_winding(c, -1e-3) == mp_winding(c, 1e-3)
+        arr = tc.winding_array(c)
+        assert arr.nus == nus
+        check_against_mpmath(c, arr.closings)
 
 
 def random_cell_blocks(unit_cell, reach, seed):
@@ -439,52 +411,14 @@ class TestScanArguments:
         with pytest.raises(ValueError, match="refine_tol must be positive"):
             tc.winding_array(model_i(4.0), n_omega=11, refine_tol=refine_tol)
 
-
-def failing_near(points, half_width):
-    """``winding_number`` that raises GapClosingError within ``half_width``
-    of any of ``points``, and records every frequency it is asked for."""
-    real = topology.winding_number
-    asked = []
-
-    def scan(c, omega, n_k=256):
-        asked.append(omega)
-        if any(abs(omega - p) <= half_width for p in points):
-            raise tc.GapClosingError(f"gap closing at omega={omega}")
-        return real(c, omega, n_k)
-
-    return scan, asked
-
-
-class TestOutwardNudge:
-    # 101-point grid on [-4, 4]: spacing 0.08, nudge 8e-5; 0.0 is a grid point
-    NUDGE = 8e-5
-
-    def test_failing_grid_points_are_read_outward(self, monkeypatch):
-        # model_i(4.0) closes at +-sqrt(3); the scan fails at 0.0 and at
-        # +-1.76, the grid points just outside the closings.  The zero count
-        # reads each one nudge further from 0 (0.0 upward), and the scan is
-        # not asked again, so the brackets and the closings are mirror images
-        c = model_i(4.0)
-        scan, asked = failing_near([0.0, -1.76, 1.76], 1e-9)
-        counted = []
-        real = topology._zero_count
-
-        def count(chain, omega):
-            counted.append(omega)
-            return real(chain, omega)
-
-        monkeypatch.setattr(topology, "_zero_count", count)
-        result = outcome(c, scan, n_omega=101)
-        for nudged in (self.NUDGE, -1.76 - self.NUDGE, 1.76 + self.NUDGE):
-            assert any(abs(w - nudged) < 1e-9 for w in counted), nudged
-            assert not any(abs(w - nudged) < 1e-9 for w in asked), nudged
-        arr = json.loads(result)
-        assert arr["nus"] == [0, 1, 0]
-        lo, hi = arr["closings"]
-        assert abs(lo + hi) < 1e-12
-        np.testing.assert_allclose(arr["closings"], [-np.sqrt(3), np.sqrt(3)],
-                                   rtol=0, atol=0.5e-4)
-        check_against_mpmath(c, result)
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"n_omega": 0}, "n_omega"), ({"n_omega": 1}, "n_omega"),
+        ({"omega_max": -4.0}, "omega_max"), ({"omega_max": 0.0}, "omega_max"),
+        ({"omega_max": float("inf")}, "omega_max"), ({"omega_max": float("nan")}, "omega_max"),
+    ])
+    def test_bad_grid_is_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            tc.winding_array(model_i(4.0), **{"n_omega": 11, **kwargs})
 
 
 class TestTopologicalEquivalence:
