@@ -422,7 +422,8 @@ def cmd_correlations(cfg: RunConfig) -> int:
                 matrix_rows(np.nan_to_num(et.m_bar)))
         rep = et.quadrature_report
         print(f"equal-time quadrature: |omega| <= {rep.omega_max:.3g}, "
-              f"{rep.panels} panels, estimated error {rep.est_error:.3e}")
+              f"{rep.panels} panels, {rep.evaluations} evaluations, "
+              f"estimated error {rep.est_error:.3e}")
     for p in out.written:
         print(p)
     return EXIT_OK

@@ -8,20 +8,21 @@ and the normal and anomalous matrices ``N(w)``, ``M(w)`` are its first
 an SVD triple, which makes ``N = Vp* Sigma Vp^T`` and ``M = Vp* Sigma
 Vh^T`` with ``Sigma`` the amplification matrix (checked by ``validate``);
 :func:`lro_curve` takes ``Y`` from batched resolvents.  Equal-time matrices
-integrate ``I`` over all frequencies with an adaptive composite
-Gauss-Legendre rule plus an analytic large-frequency tail.  Every generator
-obeys ``C H* C = -H`` with ``C`` the particle-hole block swap, so for real
-``w`` ``G(-w) = -C G(w)* C`` and ``I(-w)`` follows from the same resolvent;
-the rule therefore integrates ``I(w) + I(-w)`` over ``[0, W]``.  Every
-chain evaluates both halves with one :func:`resolvent` call per panel: a
-banded LU solve of the panel's nodes in the chain's site-major band form,
-or on symmetric chains the batched bidiagonal channel SVDs, which resolve
-the exponentially small topological singular value to full relative
-accuracy.  The weighted factors of a panel's nodes, side by
-side, give the panel's integral as one Gram product.
-``QuadratureReport.panels`` counts panels of ``[-W, W]``, two per folded
-panel, and a refinement that would need more than ``MAX_PANELS`` of them
-raises :class:`QuadratureError`.
+integrate ``I`` over all frequencies with adaptive Gauss-Kronrod panels
+plus an analytic large-frequency tail.  Every generator obeys ``C H* C =
+-H`` with ``C`` the particle-hole block swap, so for real ``w`` ``G(-w) =
+-C G(w)* C`` and ``I(-w)`` follows from the same resolvent; the rule
+therefore integrates ``I(w) + I(-w)`` over ``[0, W]``.
+Every chain evaluates both halves with one :func:`resolvent` call for the
+33 nodes of a panel: a banded LU solve of the nodes in the chain's
+site-major band form, or on symmetric chains the batched bidiagonal
+channel SVDs, which resolve the exponentially small topological singular
+value to full relative accuracy.  The weighted factors of a panel's nodes,
+side by side, give the panel's integral as one Gram product, and the 16 of
+them at the Gauss nodes give the embedded Gauss value whose distance is the
+panel's error estimate.  ``QuadratureReport.panels`` counts panels of
+``[-W, W]``, two per folded panel, and a refinement that would need more
+than ``MAX_PANELS`` of them raises :class:`QuadratureError`.
 
 Normalization divides every entry by the geometric mean of the
 corresponding diagonal occupations, so normalized diagonals are exactly one
@@ -30,12 +31,12 @@ and off-diagonals are correlation coefficients.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from numpy.typing import NDArray
 import scipy
 
@@ -44,8 +45,11 @@ from .greensvd import ResonanceError, SvdTriple, resolvent
 
 ZERO_OCCUPATION_TOL = 1e-14
 RANK1_VALIDITY_RATIO = 0.1
-PANEL_NODES = 32
 MAX_PANELS = 4096
+# a panel's Gauss order N: its G16/K33 pair has 2N + 1 = 33 nodes
+_PANEL_ORDER = 16
+# frequencies per resolvent batch of lro_curve, as greensvd._CHUNK
+_LRO_BATCH = 32
 _NOISE_PSD_MARGIN = 16
 
 
@@ -60,8 +64,9 @@ class QuadratureSpec:
     ``rel_tol`` is the relative accuracy each panel is refined to, and
     ``tail_tol`` the integrand level, relative to its peak, at which the
     automatic cutoff ``W`` is placed.  Both must be finite and positive.
-    Each panel has ``PANEL_NODES`` Gauss-Legendre nodes; a refinement that
-    would need more than ``MAX_PANELS`` panels raises :class:`QuadratureError`.
+    Each panel is a 33-node Gauss-Kronrod rule with its embedded 16-node
+    Gauss rule; a refinement that would need more than ``MAX_PANELS``
+    panels raises :class:`QuadratureError`.
     """
 
     rel_tol: float = 1e-6
@@ -76,8 +81,13 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class QuadratureReport:
+    """What the equal-time quadrature did: its cutoff ``W``, the accepted
+    panels of ``[-W, W]``, the integrand frequencies it evaluated (panel
+    nodes and cutoff probes alike) and its error estimate."""
+
     omega_max: float
     panels: int
+    evaluations: int
     est_error: float
 
 
@@ -314,57 +324,144 @@ def _choose_omega_max(h, factors, tail, quad):
     return omega_max
 
 
+def _golub_welsch(a, b):
+    """Nodes and weights of the Gauss rule of the monic recurrence ``a_k``,
+    ``b_k`` (``b_0`` the weight's integral), mirror-symmetric about 0."""
+    off = np.sqrt(b[1:a.size])
+    x, v = np.linalg.eigh(np.diag(a) + np.diag(off, 1) + np.diag(off, -1))
+    return 0.5 * (x - x[::-1]), b[0] * 0.5 * (v[0] ** 2 + v[0, ::-1] ** 2)
+
+
+def _legendre_b(size):
+    """``b_0 = 2``, ``b_k = k^2 / (4k^2 - 1)``: the monic Legendre recurrence
+    on ``[-1, 1]``, whose ``a_k`` are 0."""
+    k = np.arange(1, size)
+    return np.concatenate([[2.0], k**2 / (4.0 * k**2 - 1.0)])
+
+
+@functools.cache
+def _gauss_rule(n):
+    """The ``n``-point Gauss-Legendre nodes on ``[-1, 1]``, ascending, and
+    their weights, read-only (every caller shares them)."""
+    x, w = _golub_welsch(np.zeros(n), _legendre_b(n))
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+@functools.cache
+def _kronrod_rule(n):
+    """The ``2n + 1`` Gauss-Kronrod nodes on ``[-1, 1]``, ascending, and their
+    weights, read-only; ``x[1::2]`` are the nodes of :func:`_gauss_rule`,
+    bit for bit.
+
+    Laurie's algorithm (Math. Comp. 66, 1133 (1997)) extends the Legendre
+    recurrence, known to ``b_{ceil(3n/2)}``, to the Jacobi-Kronrod matrix,
+    whose eigenvalues are the nodes and whose eigenvectors' first
+    components give the weights (Golub & Welsch).  The Gauss nodes replace
+    the odd Kronrod eigenvalues, which equal them to rounding, so the
+    embedded Gauss rule reads exactly the Kronrod rule's integrand values.
+    """
+    a = np.zeros(2 * n + 1)
+    b = _legendre_b(2 * n + 1)
+    b[(3 * n + 1) // 2 + 1:] = 0.0
+    s = np.zeros(n // 2 + 3)
+    t = np.zeros(n // 2 + 3)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        l = m - k
+        s[k + 1] = np.cumsum((a[k + n + 1] - a[l]) * t[k + 1]
+                             + b[k + n + 1] * s[k] - b[l] * s[k + 1])
+        s, t = t, s
+    s[1:n // 2 + 3] = s[:n // 2 + 2]
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        l = m - k
+        j = n - 1 - l
+        s[j + 1] = np.cumsum(-(a[k + n + 1] - a[l]) * t[j + 1]
+                             - b[k + n + 1] * s[j + 1] + b[l] * s[j + 2])
+        j, k = j[-1], (m + 1) // 2
+        if m % 2 == 0:
+            a[k + n + 1] = a[k] + (s[j + 1] - b[k + n + 1] * s[j + 2]) / t[j + 2]
+        else:
+            b[k + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+    x, w = _golub_welsch(a, b)
+    x[1::2] = _gauss_rule(n)[0]
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def equal_time(c: CouplingSet, quad: QuadratureSpec = QuadratureSpec()) -> EqualTimeCorrelations:
     """Equal-time correlations by adaptive frequency integration.
 
     The integral of ``I(w) = G*(w) D G(w)^T`` over ``[-W, W]`` is folded
-    onto ``[0, W]``: composite Gauss-Legendre panels there integrate
-    ``I(w) + I(-w)``, both halves from the factors ``Y`` of one resolvent
-    per panel (see :func:`_integrand_factory`).  The factors of all nodes of
-    a panel, each scaled by the root of its weight, side by side form one
-    matrix ``Z``, and the panel's integral is the one product ``Z
-    Z^dagger``.  A panel is bisected wherever the two-half refinement
-    changes its integral by more than its share of the tolerance; the
+    onto ``[0, W]``: Gauss-Kronrod panels there integrate ``I(w) + I(-w)``,
+    both halves from the factors ``Y`` of one resolvent call for a panel's
+    33 nodes (see :func:`_integrand_factory`).  The factors of all nodes of
+    a panel, each scaled by the root of its Kronrod weight, side by side
+    form one matrix ``Z``, and the panel's integral is the one product ``Z
+    Z^dagger``; the same product over the 16 Gauss nodes, with the Gauss
+    weights, gives the embedded Gauss value, and the Frobenius distance of
+    the two is the panel's error estimate.  Eight uniform seed panels set
+    the tolerance scale.  A panel whose estimate exceeds its share of the
+    tolerance is bisected and both halves are evaluated afresh; the
     analytic resolvent-series tail covers ``|w| > W``.  The report counts
-    panels of ``[-W, W]``, two per folded panel.  The chain must be
-    dynamically stable for the integral to exist, and its noise matrix
-    positive semidefinite.
+    panels of ``[-W, W]``, two per folded panel, and the integrand
+    frequencies evaluated, cutoff probes included; its error sums the
+    accepted panels' estimates and the tail's first omitted order.  The
+    chain must be dynamically stable for the integral to exist, and its
+    noise matrix positive semidefinite.
     """
     assert_stable(c, "equal_time")
     h = dynamical_matrix(c)
-    factors = _integrand_factory(c, h)
+    integrand = _integrand_factory(c, h)
+    evaluations = 0
+
+    def factors(omegas):
+        nonlocal evaluations
+        evaluations += omegas.size
+        return integrand(omegas)
+
     tail = _tail(h.h, c.noise_matrix)
     omega_max = _choose_omega_max(h.h, factors, tail, quad)
-    nodes, weights = leggauss(PANEL_NODES)
-    root_weights = np.sqrt(np.concatenate([weights, weights]))[:, None]
+    nodes, kronrod = _kronrod_rule(_PANEL_ORDER)
+    size = nodes.size
+    both = np.concatenate([kronrod, kronrod])
+    root_kronrod = np.sqrt(both)[:, None]
+    # the Gauss nodes of both halves among the columns of Z, and the factors
+    # that turn their Kronrod weights into Gauss weights
+    odd = np.concatenate([np.arange(1, size, 2), size + np.arange(1, size, 2)])
+    regauge = np.sqrt(np.tile(_gauss_rule(_PANEL_ORDER)[1], 2) / both[odd])[:, None]
 
-    def panel_integral(lo, hi):
+    def panel(lo, hi):
+        """``(lo, hi, integral, error estimate)`` of one folded panel."""
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         direct, mirror = factors(mid + half * nodes)
         # the columns of Z run over (node, factor column), both halves
-        z = np.empty((direct.shape[1], 2 * PANEL_NODES, direct.shape[2]), dtype=complex)
-        z[:, :PANEL_NODES] = direct.transpose(1, 0, 2)
-        z[:, PANEL_NODES:] = mirror.transpose(1, 0, 2)
-        z *= root_weights
-        return half / (2 * np.pi) * _gram(z.reshape(z.shape[0], -1))
+        rows = direct.shape[1]
+        z = np.empty((rows, 2 * size, direct.shape[2]), dtype=complex)
+        z[:, :size] = direct.transpose(1, 0, 2)
+        z[:, size:] = mirror.transpose(1, 0, 2)
+        z *= root_kronrod
+        value = half / (2 * np.pi) * _gram(z.reshape(rows, -1))
+        embedded = half / (2 * np.pi) * _gram((z[:, odd] * regauge).reshape(rows, -1))
+        return lo, hi, value, float(np.linalg.norm(value - embedded, "fro"))
 
-    # first pass: moderate uniform panels give an initial tolerance scale
+    # moderate uniform seed panels give an initial tolerance scale
     n_seed = 8
     edges = np.linspace(0.0, omega_max, n_seed + 1)
-    worklist = [(edges[i], edges[i + 1], panel_integral(edges[i], edges[i + 1]))
-                for i in range(n_seed)]
+    worklist = [panel(edges[i], edges[i + 1]) for i in range(n_seed)]
     scale = max(float(np.linalg.norm(sum(item[2] for item in worklist), "fro")), 1e-300)
 
     total = None
     n_accepted = 0
     est_error = 0.0
     while worklist:
-        lo, hi, coarse = worklist.pop()
-        mid = 0.5 * (lo + hi)
-        left = panel_integral(lo, mid)
-        right = panel_integral(mid, hi)
-        fine = left + right
-        diff = np.linalg.norm(coarse - fine, "fro")
+        lo, hi, value, err = worklist.pop()
         # Accept on a width-proportional share of the running global budget
         # (a folded panel takes the shares of its two mirrored halves) or on
         # convergence relative to the panel's own magnitude; sharply peaked
@@ -372,24 +469,24 @@ def equal_time(c: CouplingSet, quad: QuadratureSpec = QuadratureSpec()) -> Equal
         # refreshed as panels land.
         budget = max(
             quad.rel_tol * scale * (hi - lo) / omega_max,
-            quad.rel_tol * np.linalg.norm(fine, "fro"),
+            quad.rel_tol * np.linalg.norm(value, "fro"),
         )
-        if diff <= budget:
-            total = fine if total is None else total + fine
-            n_accepted += 2
-            est_error += diff
+        if err <= budget:
+            total = value if total is None else total + value
+            n_accepted += 1
+            est_error += err
             scale = max(scale, float(np.linalg.norm(total, "fro")))
         elif 2 * (n_accepted + len(worklist) + 2) >= MAX_PANELS:
             # each folded panel stands for two panels of [-W, W]
             raise QuadratureError(
                 f"equal-time quadrature did not reach rel_tol={quad.rel_tol:g} within "
-                f"{MAX_PANELS} panels: the panels of width {hi - lo:.3g} at "
-                f"omega=+-{mid:.6g} still change by {diff:.3e} against a budget of "
-                f"{budget:.3e}"
+                f"{MAX_PANELS} panels: the panel of width {hi - lo:.3g} at "
+                f"omega=+-{0.5 * (lo + hi):.6g} has the error estimate {err:.3e} against "
+                f"a budget of {budget:.3e}"
             )
         else:
-            worklist.append((lo, mid, left))
-            worklist.append((mid, hi, right))
+            mid = 0.5 * (lo + hi)
+            worklist += [panel(lo, mid), panel(mid, hi)]
     correction, next_order = tail(omega_max)
     total = total + correction
     est_error += next_order
@@ -399,7 +496,8 @@ def equal_time(c: CouplingSet, quad: QuadratureSpec = QuadratureSpec()) -> Equal
     m_mat = total[:n, n:]
     n_bar, m_bar, excluded = normalized_forms(n_mat, m_mat)
     report = QuadratureReport(
-        omega_max=omega_max, panels=2 * n_accepted, est_error=float(est_error)
+        omega_max=omega_max, panels=2 * n_accepted, evaluations=evaluations,
+        est_error=float(est_error),
     )
     return EqualTimeCorrelations(
         n_mat=n_mat, m_mat=m_mat, n_bar=n_bar, m_bar=m_bar,
@@ -415,8 +513,8 @@ def lro_curve(c: CouplingSet, omegas) -> tuple[NDArray, NDArray, NDArray]:
     as in :func:`freq_correlations`, with ``Y = G* L`` from batched
     resolvents instead of an SVD: the direct half of
     :func:`_integrand_factory`, without its mirror half.  The chain is
-    gated once.  The resolvents come in batches of ``PANEL_NODES``
-    frequencies, so the peak memory is that of one quadrature panel.  A
+    gated once.  The resolvents come in batches of 32 frequencies, so the
+    peak memory stays near that of one quadrature panel.  A
     frequency whose resolvent raises :class:`ResonanceError` is dropped from
     the returned grid; the other frequencies of its batch are redone one by
     one.
@@ -434,8 +532,8 @@ def lro_curve(c: CouplingSet, omegas) -> tuple[NDArray, NDArray, NDArray]:
 
     omegas = np.asarray(omegas, dtype=float)
     out = []
-    for start in range(0, omegas.size, PANEL_NODES):
-        batch = omegas[start:start + PANEL_NODES]
+    for start in range(0, omegas.size, _LRO_BATCH):
+        batch = omegas[start:start + _LRO_BATCH]
         try:
             out += lambdas(batch)
         except ResonanceError:

@@ -47,10 +47,10 @@ from .models import CouplingSet, DynamicalMatrix
 
 _GAUGE_ANCHOR_REL = 1e-8
 _INVERSE_REFINE_REL = 1e-12
-# frequencies per batch of singular_values, as correlations.PANEL_NODES
+# frequencies per batch of singular_values, as in correlations.lro_curve
 _CHUNK = 32
 # rows of the stacked band matrix that one zgbsv call factors: enough that
-# a chain of a few sites takes a whole 32-node panel in one call
+# a chain of a few sites takes a whole 33-node quadrature panel in one call
 _BAND_ROWS = 256
 
 

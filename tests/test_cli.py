@@ -253,6 +253,19 @@ class TestCorrelationsCommand:
         first = rows[0].split(",")
         assert first[2] == "1" or len(first[2]) >= 15
 
+    def test_quadrature_line_reports_the_evaluations(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.yaml"
+        cfgfile.write_text(yaml.safe_dump({
+            "params": {"n_sites": 4, "gamma": 5.0}, "omega_grid": {"count": 3},
+            "outputs": {"dir": str(tmp_path / "out")},
+        }))
+        assert run(["correlations", "--config", str(cfgfile)]) == EXIT_OK
+        rep = tc.equal_time(tc.build_model_i(tc.ModelIParams(n_sites=4, gamma=5.0))
+                            ).quadrature_report
+        line = next(x for x in capsys.readouterr().out.splitlines()
+                    if x.startswith("equal-time quadrature:"))
+        assert f"{rep.panels} panels, {rep.evaluations} evaluations, " in line
+
 
 class TestDisorderCommand:
     def test_sweep_and_collapse(self, tmp_path):

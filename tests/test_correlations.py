@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 import topocorr as tc
 from topocorr import correlations
-from topocorr.correlations import QuadratureSpec, _integrand_factory, normalized_forms
+from topocorr.correlations import (
+    QuadratureSpec, _gauss_rule, _integrand_factory, _kronrod_rule, normalized_forms,
+)
 from topocorr.greensvd import SvdTriple
 from topocorr.lindblad import commutation_residual, steady_state_moments
 from conftest import sigma_oracle
@@ -183,6 +185,48 @@ class TestEqualTime:
         assert np.max(np.abs(et.m_bar[sl, sl] - 1j * et.n_bar[sl, sl])) < 0.05
 
 
+class TestKronrodRule:
+    @pytest.mark.parametrize("n", [7, 16])
+    def test_exact_to_degree_3n_plus_1(self, n):
+        x, w = _kronrod_rule(n)
+        g, wg = _gauss_rule(n)
+        assert x.size == 2 * n + 1
+        for degree in range(3 * n + 2):
+            exact = 2 / (degree + 1) if degree % 2 == 0 else 0.0
+            assert abs(w @ x**degree - exact) <= 4e-15, degree
+            if degree < 2 * n:
+                assert abs(wg @ g**degree - exact) <= 4e-15, degree
+
+    @pytest.mark.parametrize("n", [7, 16])
+    def test_gauss_nodes_are_the_odd_entries(self, n):
+        from numpy.polynomial.legendre import leggauss
+
+        x, _ = _kronrod_rule(n)
+        g, wg = _gauss_rule(n)
+        assert x[1::2].tobytes() == g.tobytes()
+        assert np.all(np.diff(x) > 0)
+        ref_nodes, ref_weights = leggauss(n)
+        assert np.max(np.abs(g - ref_nodes)) <= 4.5e-16
+        assert np.max(np.abs(wg - ref_weights)) <= 4e-15 * ref_weights.max()
+
+    @pytest.mark.parametrize("n", [7, 16])
+    def test_weights_are_positive(self, n):
+        assert np.all(_kronrod_rule(n)[1] > 0)
+        assert np.all(_gauss_rule(n)[1] > 0)
+
+    def test_cached_rule_is_read_only(self):
+        for arr in (*_kronrod_rule(16), *_gauss_rule(16)):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_k15_matches_quadpack(self):
+        # QUADPACK qk15 (Piessens et al., 1983), to its 15 printed digits
+        x, w = _kronrod_rule(7)
+        assert abs(x[-1] - 0.991455371120813) <= 1e-15
+        assert abs(w[-1] - 0.022935322010529) <= 1e-15
+        assert x[0] == -x[-1] and w[0] == w[-1]
+
+
 # 40-digit mpmath values of the integrand G*(w) D G(w)^T of
 # model_ii_effective (30 cells, gamma=3) at w = 0.21, where cond(w*I - H) is
 # about 7e9, from the exact inverse of the same floating-point H.
@@ -271,7 +315,7 @@ class TestEqualTimeIntegrand:
             bound = max(1e-13, 2 * cond * np.finfo(float).eps)
             assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want), w
 
-    @pytest.mark.parametrize("n,panels", [(12, 48), (40, 32)])
+    @pytest.mark.parametrize("n,panels", [(12, 28), (40, 16)])
     def test_channel_route_matches_the_per_node_oracle(self, monkeypatch, n, panels):
         c = stable_chain(n=n, gamma=5.0)
         assert c.channels is not None
@@ -284,11 +328,42 @@ class TestEqualTimeIntegrand:
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("make,panels", [
-        (lambda: tc.build_model_ii_full(tc.ModelIIParams(n_cells=15, gamma=3.0)), 40),
-        (lambda: tc.adiabatic_eliminate(tc.ModelIIParams(n_cells=30, gamma=3.0)), 32),
+        (lambda: tc.build_model_ii_full(tc.ModelIIParams(n_cells=15, gamma=3.0)), 22),
+        (lambda: tc.adiabatic_eliminate(tc.ModelIIParams(n_cells=30, gamma=3.0)), 16),
     ], ids=["full", "effective"])
     def test_panel_decisions_unchanged(self, make, panels):
         assert tc.equal_time(make()).quadrature_report.panels == panels
+
+    @pytest.mark.parametrize("make", [
+        lambda: tc.build_model_ii_full(tc.ModelIIParams(n_cells=15, gamma=3.0)),
+        lambda: stable_chain(n=40, gamma=5.0),
+    ], ids=["dimer", "symmetric"])
+    def test_benchmark_chains_match_the_moment_equations(self, make):
+        # the two chains of the benchmark's equal-time op, at its rel_tol
+        c = make()
+        n_ref, m_ref, _ = steady_state_moments(c)
+        et = tc.equal_time(c)
+        assert np.linalg.norm(et.n_mat - n_ref) <= 1e-11 * np.linalg.norm(n_ref)
+        assert np.linalg.norm(et.m_mat - m_ref) <= 1e-11 * np.linalg.norm(m_ref)
+
+    def test_evaluations_count_panel_nodes_and_probes(self, monkeypatch):
+        sizes = []
+        resolvent = correlations.resolvent
+
+        def counted(h, omegas):
+            sizes.append(np.size(omegas))
+            return resolvent(h, omegas)
+
+        monkeypatch.setattr(correlations, "resolvent", counted)
+        rep = tc.equal_time(stable_chain(n=4, gamma=5.0)).quadrature_report
+        panel_calls = sizes.count(33)
+        probes = [size for size in sizes if size != 33]
+        # 21 probes on [0, W], then one per cutoff test
+        assert probes[0] == 21 and set(probes[1:]) == {1}
+        assert rep.evaluations == sum(sizes) == 33 * panel_calls + sum(probes)
+        # 8 seed panels, and two fresh halves per bisection: a binary tree
+        # with panels / 2 leaves
+        assert panel_calls == rep.panels - 8
 
     def test_panel_limit_is_an_error(self):
         # a dense chain (the detuning breaks the channel symmetry) and a

@@ -48,11 +48,12 @@ def test_traced_names_are_module_level_functions():
 
 
 def loaded_after(code):
-    """Which of scipy.optimize and scipy.linalg a fresh interpreter has
-    loaded after running ``code``."""
+    """Which of scipy.optimize, scipy.linalg and numpy.polynomial a fresh
+    interpreter has loaded after running ``code``."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    probe = "print(sorted({'scipy.optimize', 'scipy.linalg'} & set(sys.modules)))"
+    probe = ("print(sorted({'scipy.optimize', 'scipy.linalg', 'numpy.polynomial'}"
+             " & set(sys.modules)))")
     out = subprocess.run(
         [sys.executable, "-c", f"import sys\n{code}\n{probe}"],
         env=env, capture_output=True, text=True, check=True, timeout=120,
@@ -62,7 +63,8 @@ def loaded_after(code):
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # importing scipy.optimize or scipy.linalg adds about 0.2 s to every CLI
-    # start-up; scipy.linalg loads only when a routine computes with it
+    # start-up; scipy.linalg loads only when a routine computes with it, and
+    # numpy.polynomial (a few ms) never: the quadrature builds its own rule
     assert loaded_after("import topocorr.cli") == "[]"
 
 
