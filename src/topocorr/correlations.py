@@ -406,9 +406,12 @@ def equal_time(c: CouplingSet, quad: QuadratureSpec = QuadratureSpec()) -> Equal
     form one matrix ``Z``, and the panel's integral is the one product ``Z
     Z^dagger``; the same product over the 16 Gauss nodes, with the Gauss
     weights, gives the embedded Gauss value, and the Frobenius distance of
-    the two is the panel's error estimate.  Eight uniform seed panels set
-    the tolerance scale.  A panel whose estimate exceeds its share of the
-    tolerance is bisected and both halves are evaluated afresh; the
+    the two is the panel's error estimate.  Six octave seed panels,
+    ``[0, W/32], [W/32, W/16], ..., [W/2, W]``, set the tolerance scale:
+    the integrand's structure lies at small ``w`` and its ``D/w^2`` tail is
+    smooth, so the tail costs one panel per octave.  A panel whose estimate
+    exceeds its width-proportional share of the tolerance is bisected and
+    both halves are evaluated afresh; the
     analytic resolvent-series tail covers ``|w| > W``.  The report counts
     panels of ``[-W, W]``, two per folded panel, and the integrand
     frequencies evaluated, cutoff probes included; its error sums the
@@ -451,10 +454,10 @@ def equal_time(c: CouplingSet, quad: QuadratureSpec = QuadratureSpec()) -> Equal
         embedded = half / (2 * np.pi) * _gram((z[:, odd] * regauge).reshape(rows, -1))
         return lo, hi, value, float(np.linalg.norm(value - embedded, "fro"))
 
-    # moderate uniform seed panels give an initial tolerance scale
-    n_seed = 8
-    edges = np.linspace(0.0, omega_max, n_seed + 1)
-    worklist = [panel(edges[i], edges[i + 1]) for i in range(n_seed)]
+    # the octave seed panels give the initial tolerance scale; their edges
+    # W 2^-k are exact in floating point, and the last is W
+    edges = np.concatenate([[0.0], omega_max * 0.5 ** np.arange(5, -1, -1)])
+    worklist = [panel(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     scale = max(float(np.linalg.norm(sum(item[2] for item in worklist), "fro")), 1e-300)
 
     total = None

@@ -315,7 +315,7 @@ class TestEqualTimeIntegrand:
             bound = max(1e-13, 2 * cond * np.finfo(float).eps)
             assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want), w
 
-    @pytest.mark.parametrize("n,panels", [(12, 28), (40, 16)])
+    @pytest.mark.parametrize("n,panels", [(12, 20), (40, 12)])
     def test_channel_route_matches_the_per_node_oracle(self, monkeypatch, n, panels):
         c = stable_chain(n=n, gamma=5.0)
         assert c.channels is not None
@@ -328,8 +328,8 @@ class TestEqualTimeIntegrand:
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("make,panels", [
-        (lambda: tc.build_model_ii_full(tc.ModelIIParams(n_cells=15, gamma=3.0)), 22),
-        (lambda: tc.adiabatic_eliminate(tc.ModelIIParams(n_cells=30, gamma=3.0)), 16),
+        (lambda: tc.build_model_ii_full(tc.ModelIIParams(n_cells=15, gamma=3.0)), 14),
+        (lambda: tc.adiabatic_eliminate(tc.ModelIIParams(n_cells=30, gamma=3.0)), 12),
     ], ids=["full", "effective"])
     def test_panel_decisions_unchanged(self, make, panels):
         assert tc.equal_time(make()).quadrature_report.panels == panels
@@ -346,6 +346,21 @@ class TestEqualTimeIntegrand:
         assert np.linalg.norm(et.n_mat - n_ref) <= 1e-11 * np.linalg.norm(n_ref)
         assert np.linalg.norm(et.m_mat - m_ref) <= 1e-11 * np.linalg.norm(m_ref)
 
+    @pytest.mark.parametrize("make,uniform", [
+        (lambda: stable_chain(n=3, gamma=5.0), 824),
+        (lambda: tc.adiabatic_eliminate(tc.ModelIIParams(n_cells=4, gamma=4.0)), 824),
+        (lambda: stable_chain(n=20, gamma=8.0), 957),
+    ], ids=["validate_model_i", "validate_effective", "trivial"])
+    def test_octave_seeds_take_fewer_evaluations(self, make, uniform):
+        # ``uniform`` is what eight uniform seed panels on [0, W] evaluated
+        # for the same chain at the default tolerance
+        c = make()
+        n_ref, m_ref, _ = steady_state_moments(c)
+        et = tc.equal_time(c)
+        assert et.quadrature_report.evaluations < uniform
+        assert np.linalg.norm(et.n_mat - n_ref) <= 1e-12 * np.linalg.norm(n_ref)
+        assert np.linalg.norm(et.m_mat - m_ref) <= 1e-12 * np.linalg.norm(m_ref)
+
     def test_evaluations_count_panel_nodes_and_probes(self, monkeypatch):
         sizes = []
         resolvent = correlations.resolvent
@@ -361,9 +376,9 @@ class TestEqualTimeIntegrand:
         # 21 probes on [0, W], then one per cutoff test
         assert probes[0] == 21 and set(probes[1:]) == {1}
         assert rep.evaluations == sum(sizes) == 33 * panel_calls + sum(probes)
-        # 8 seed panels, and two fresh halves per bisection: a binary tree
-        # with panels / 2 leaves
-        assert panel_calls == rep.panels - 8
+        # 6 octave seed panels, and two fresh halves per bisection: a forest
+        # of 6 binary trees with panels / 2 leaves
+        assert panel_calls == rep.panels - 6
 
     def test_panel_limit_is_an_error(self):
         # a dense chain (the detuning breaks the channel symmetry) and a
