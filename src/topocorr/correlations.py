@@ -140,7 +140,10 @@ class DecayFit:
 def _normalized(n_mat, m_mat):
     """N-bar and M-bar of one matrix pair or of stacks of them, with the
     mask of the sites whose occupation vanishes (their rows and columns are
-    NaN)."""
+    NaN).  An ``N`` or ``M`` that overflowed the doubles raises
+    :class:`ResonanceError`: the frequency is numerically resonant."""
+    if not (np.all(np.isfinite(n_mat)) and np.all(np.isfinite(m_mat))):
+        raise _overflow("N or M")
     diag = np.real(np.diagonal(n_mat, axis1=-2, axis2=-1)).copy()
     dead = diag < ZERO_OCCUPATION_TOL
     diag[dead] = np.nan
@@ -151,6 +154,12 @@ def _normalized(n_mat, m_mat):
     idx = np.arange(diag.shape[-1])
     n_bar[..., idx, idx] = np.where(np.isnan(diag), np.nan, 1.0)
     return n_bar, m_bar, dead
+
+
+def _overflow(what):
+    """The :class:`ResonanceError` of ``what`` overflowing the doubles."""
+    return ResonanceError(
+        f"{what} overflows the doubles: a singular value of w*I - H is numerically zero")
 
 
 def normalized_forms(n_mat, m_mat):
@@ -199,8 +208,10 @@ def _noise_factor(c: CouplingSet):
 
 
 def _first_rows(y, n):
-    """``(N, M)``, the first ``n`` rows of ``Y Y^dagger`` (``Y`` may be stacked)."""
-    rows = y[..., :n, :] @ y.conj().swapaxes(-1, -2)
+    """``(N, M)``, the first ``n`` rows of ``Y Y^dagger`` (``Y`` may be stacked).
+    An overflow is left to :func:`_normalized` to report."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = y[..., :n, :] @ y.conj().swapaxes(-1, -2)
     return rows[..., :n], rows[..., n:]
 
 
@@ -309,8 +320,11 @@ def _choose_omega_max(h, factors, tail, quad):
     # 21 nonnegative probes give the integrand at 41 points of [-W, W]; the
     # trace of I = Y Y^dagger is ||Y||_F^2
     probe = np.linspace(0.0, omega_max, 21)
-    peak = max(float(np.max(np.linalg.norm(half, axis=(1, 2)) ** 2))
-               for half in factors(probe))
+    with np.errstate(over="ignore", invalid="ignore"):
+        peak = max(float(np.max(np.linalg.norm(half, axis=(1, 2)) ** 2))
+                   for half in factors(probe))
+    if not math.isfinite(peak):
+        raise _overflow("the equal-time integrand at a cutoff probe")
     while float(np.linalg.norm(factors(np.array([omega_max]))[0][0]) ** 2) > (
         quad.tail_tol * peak
     ):
@@ -417,7 +431,8 @@ def equal_time(c: CouplingSet, quad: QuadratureSpec = QuadratureSpec()) -> Equal
     frequencies evaluated, cutoff probes included; its error sums the
     accepted panels' estimates and the tail's first omitted order.  The
     chain must be dynamically stable for the integral to exist, and its
-    noise matrix positive semidefinite.
+    noise matrix positive semidefinite.  A panel whose integrand overflows
+    the doubles raises :class:`ResonanceError`.
     """
     assert_stable(c, "equal_time")
     h = dynamical_matrix(c)
@@ -450,9 +465,14 @@ def equal_time(c: CouplingSet, quad: QuadratureSpec = QuadratureSpec()) -> Equal
         z[:, :size] = direct.transpose(1, 0, 2)
         z[:, size:] = mirror.transpose(1, 0, 2)
         z *= root_kronrod
-        value = half / (2 * np.pi) * _gram(z.reshape(rows, -1))
-        embedded = half / (2 * np.pi) * _gram((z[:, odd] * regauge).reshape(rows, -1))
-        return lo, hi, value, float(np.linalg.norm(value - embedded, "fro"))
+        # an overflow anywhere in the panel leaves its error estimate non-finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = half / (2 * np.pi) * _gram(z.reshape(rows, -1))
+            embedded = half / (2 * np.pi) * _gram((z[:, odd] * regauge).reshape(rows, -1))
+            err = float(np.linalg.norm(value - embedded, "fro"))
+        if not math.isfinite(err):
+            raise _overflow(f"the equal-time integrand on [{lo:.6g}, {hi:.6g}]")
+        return lo, hi, value, err
 
     # the octave seed panels give the initial tolerance scale; their edges
     # W 2^-k are exact in floating point, and the last is W
@@ -517,10 +537,10 @@ def lro_curve(c: CouplingSet, omegas) -> tuple[NDArray, NDArray, NDArray]:
     resolvents instead of an SVD: the direct half of
     :func:`_integrand_factory`, without its mirror half.  The chain is
     gated once.  The resolvents come in batches of 32 frequencies, so the
-    peak memory stays near that of one quadrature panel.  A
-    frequency whose resolvent raises :class:`ResonanceError` is dropped from
-    the returned grid; the other frequencies of its batch are redone one by
-    one.
+    peak memory stays near that of one quadrature panel.  A frequency whose
+    resolvent or correlations raise :class:`ResonanceError` (see
+    :func:`_normalized`) is dropped from the returned grid; the other
+    frequencies of its batch are redone one by one.
     """
     assert_stable(c, "lro_curve")
     h = dynamical_matrix(c)

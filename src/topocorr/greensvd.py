@@ -21,11 +21,10 @@ Those have a closed form, the roots of one secular equation (Yueh, Appl.
 Math. E-Notes 5, 66 (2005)), solved for every mode of every frequency of a
 batch at once; it resolves the exponentially small topological singular
 value to full relative accuracy, where the generic dense SVD only bounds
-its error in units of ``eps * s_max``.  In ``svd_at`` and ``resolvent``
-values below ``1e-12 s_max`` still take their triple from the explicit
-inverse, and one too small for that refinement to represent raises
-:class:`ResonanceError`; ``singular_values`` keeps the closed-form values
-and raises only for one below the normal doubles.  Other chains take the
+its error in units of ``eps * s_max`` (Demmel & Kahan, SIAM J. Sci. Stat.
+Comput. 11, 873 (1990)).  All three entry points keep that closed form at
+every frequency, and all three raise :class:`ResonanceError` for a value
+below the normal doubles rather than report it.  Other chains take the
 refined dense SVD in ``svd_at`` and a batched values-only SVD in
 ``singular_values``.  Their ``resolvent`` is a banded LU solve: in
 site-major order, ``(p_0, h_0, p_1, h_1, ...)``, the generator of a chain
@@ -46,7 +45,6 @@ from .analytics import edge_exponent, secular_angles
 from .models import CouplingSet, DynamicalMatrix
 
 _GAUGE_ANCHOR_REL = 1e-8
-_INVERSE_REFINE_REL = 1e-12
 # frequencies per batch of singular_values, as in correlations.lro_curve
 _CHUNK = 32
 # rows of the stacked band matrix that one zgbsv call factors: enough that
@@ -143,6 +141,17 @@ def _coupled_channels(n, mods, b):
     return b >= np.finfo(float).eps * mods
 
 
+def _reject_subnormal(omegas, s0):
+    """Raise :class:`ResonanceError` at the first frequency whose smallest
+    singular value ``s0`` is below the normal doubles (or NaN)."""
+    tiny = np.flatnonzero(~(s0 >= np.finfo(float).tiny))
+    if tiny.size:
+        raise ResonanceError(
+            f"omega={omegas[tiny[0]]} is numerically resonant: the smallest "
+            f"singular value is below the normal doubles"
+        )
+
+
 def _real_bidiagonal_values(n, mods, b):
     """Singular values of :func:`_real_bidiagonal_svd`'s matrices, without
     vectors."""
@@ -175,28 +184,11 @@ def _bidiagonal_svd(n, diags, offdiag, lower, real):
 
     Factoring out site-dependent phases leaves a nonnegative real bidiagonal
     matrix; the upper bidiagonal form is the transpose of the lower one,
-    with ``u`` and ``v`` swapped.  The smallest value is refined through the
-    inverse where it falls below ``_INVERSE_REFINE_REL`` of the largest, and
-    one below the reach of :func:`_smallest_triple_via_inverse` raises
-    :class:`ResonanceError`.  Returns the stacked ``(u, s, v)``, values
-    ascending along the last axis of ``s``.
+    with ``u`` and ``v`` swapped.  The values are the real forms', to full
+    relative accuracy down to the smallest.  Returns the stacked ``(u, s,
+    v)``, values ascending along the last axis of ``s``.
     """
     ur, s, vr = real if lower else (real[2], real[1], real[0])
-    s = s.copy()
-    refined = []
-    for i in np.nonzero(s[:, 0] < _INVERSE_REFINE_REL * s[:, -1])[0]:
-        # one scalar type whatever the caller passed: Python and NumPy complex
-        # division round differently, and the inverse raises the ratio to the
-        # n-th power
-        diag = complex(diags[i])
-        s0, u0, v0 = _smallest_triple_via_inverse(n, diag, offdiag, lower)
-        if s0 is None:
-            raise ResonanceError(
-                f"omega={diag.real} is numerically resonant: the smallest singular "
-                f"value of a {n}-site channel is below what its refinement resolves"
-            )
-        s[i, 0] = s0
-        refined.append((i, u0, v0))
     angles = np.angle(diags)[:, None]
     step = np.angle(offdiag) - angles
     sites = np.arange(n)
@@ -204,10 +196,6 @@ def _bidiagonal_svd(n, diags, offdiag, lower, real):
     phi = angles - theta
     u = np.exp(1j * theta)[:, :, None] * ur
     v = vr * np.exp(-1j * phi)[:, :, None]
-    # the refined vectors come from the complex inverse, phases included
-    for i, u0, v0 in refined:
-        u[i, :, 0] = u0
-        v[i, :, 0] = v0
     return u, s, v
 
 
@@ -216,9 +204,10 @@ def _smallest_triple_via_inverse(n, diag, offdiag, lower):
     explicit triangular Toeplitz inverse.
 
     Deflation thresholds floor QR-iteration singular values near
-    ``eps * s_max``; the largest singular value of the inverse carries full
-    relative accuracy instead.  Returns ``None`` when the inverse would
-    overflow.
+    ``eps * s_max``; the largest singular value of the inverse carries
+    relative accuracy instead.  No library path calls it: the tests keep it
+    as a reference for the closed-form channel triple.  Returns ``None``
+    when the inverse would overflow.
     """
     ratio = -offdiag / diag
     log_biggest = n * np.log(max(abs(ratio), 1.0)) - np.log(abs(diag))
@@ -247,12 +236,14 @@ def _channel_svd(omegas, j, g_s, gamma, n):
     over a 1-D array of frequencies: ``((u+, s+, v+), (u-, s-, v-))``.
 
     Both channels share the off-diagonal modulus ``2|J|``, so one closed-form
-    solve serves both.
+    solve serves both.  A value below the normal doubles raises
+    :class:`ResonanceError`, as in :func:`singular_values`.
     """
     k = len(omegas)
     diags = _channel_diagonals(omegas, g_s, gamma)
     # np.hypot is the modulus Python's abs(complex) computes, bit for bit
     ur, s, vr = _real_bidiagonal_svd(n, np.hypot(diags.real, diags.imag), abs(2j * j))
+    _reject_subnormal(omegas, np.minimum(s[:k, 0], s[k:, 0]))
     plus = _bidiagonal_svd(n, diags[:k], -2j * j, True, (ur[:k], s[:k], vr[:k]))
     minus = _bidiagonal_svd(n, diags[k:], 2j * j, False, (ur[k:], s[k:], vr[k:]))
     return plus, minus
@@ -337,8 +328,9 @@ def resolvent(h: DynamicalMatrix, omegas) -> NDArray[np.complex128]:
     For paths that need only ``G`` and not the full singular basis.  The
     route follows the chain, as in :func:`svd_at`.  On symmetric chains
     ``G = T diag(G+, G-) T^dagger`` with ``G+- = V+- S+-^{-1} U+-^dagger``
-    from the channel SVDs, which carry the exponentially small topological
-    value to full relative accuracy.  Elsewhere ``(w*I - H) G = I`` is
+    from the closed-form channel SVDs, which carry the exponentially small
+    topological value to full relative accuracy; one below the normal
+    doubles raises :class:`ResonanceError`.  Elsewhere ``(w*I - H) G = I`` is
     solved by banded LU with partial pivoting (LAPACK ``zgbsv``) in the
     site-major order of ``CouplingSet.bands``, which where ``w*I - H`` is
     ill-conditioned stays closer to the exact inverse than ``V diag(1/s)
@@ -400,10 +392,8 @@ def singular_values(h: DynamicalMatrix, omegas) -> NDArray[np.float64]:
     For paths that write the spectrum alone.  The frequencies are taken in
     batches of ``_CHUNK``, so peak memory stays near one batch, and the
     route follows the chain, as in :func:`resolvent`.  On symmetric chains
-    the values are the closed form of the channels (:func:`_toeplitz_values`)
-    everywhere: it is more accurate than the inverse refinement ``svd_at``
-    applies to small values, so they differ from ``svd_at``'s only there, at
-    the level of its rounding.  Other chains take one batched dense SVD per
+    the values are the closed form of the channels (:func:`_toeplitz_values`),
+    the same bits as ``svd_at``'s.  Other chains take one batched dense SVD per
     batch, with the determinant refinement of a lone value below
     ``_DENSE_FLOOR_REL`` of the largest.  A zero channel diagonal, a failed
     SVD, or a smallest value below the normal doubles raises
@@ -428,12 +418,7 @@ def singular_values(h: DynamicalMatrix, omegas) -> NDArray[np.float64]:
                 raise ResonanceError(
                     f"SVD failed to converge for omega in [{batch.min()}, {batch.max()}]"
                 ) from exc
-        tiny = np.flatnonzero(~(s[:, 0] >= np.finfo(float).tiny))
-        if tiny.size:
-            raise ResonanceError(
-                f"omega={batch[tiny[0]]} is numerically resonant: the smallest "
-                f"singular value is below the normal doubles"
-            )
+        _reject_subnormal(batch, s[:, 0])
     return out
 
 
@@ -449,12 +434,6 @@ def _channel_resolvent(omegas, channels, n):
     """``T diag(G+, G-) T^dagger`` for every frequency, from one batched
     channel SVD."""
     def inverse(u, s, v):
-        # an all-zero channel passes the refinement test, so check every node
-        if not np.all(s[:, 0] > 0):
-            raise ResonanceError(
-                f"omega in [{omegas.min()}, {omegas.max()}] is resonant: "
-                f"a symmetry channel of w*I - H is singular"
-            )
         # u and v are this call's own, so V S^{-1} U^dagger needs no temporaries
         v /= s[:, None, :]
         return v @ np.conjugate(u, out=u).swapaxes(-1, -2)

@@ -32,6 +32,20 @@ def run(argv):
     return main(argv)
 
 
+def run_under_blas_threads(tmp_path, argv):
+    """Run the CLI in a subprocess under 1 and then 2 OpenBLAS threads;
+    returns the two output directories."""
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        outs.append(tmp_path / threads)
+        subprocess.run([sys.executable, "-m", "topocorr.cli", *argv, "--out", str(outs[-1])],
+                       env=env, check=True, capture_output=True)
+    return outs
+
+
 def read_lines(path):
     return path.read_text().splitlines()
 
@@ -167,17 +181,9 @@ class TestSpectrumCommand:
 
     def test_blas_thread_count_does_not_change_the_bytes(self, tmp_path):
         # the README spectrum, whose channel values call no BLAS
-        paths = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join(
-                       [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
-            subprocess.run(
-                [sys.executable, "-m", "topocorr.cli", "spectrum", "--model", "model_i",
-                 "--gamma", "4", "--n-sites", "50", "--out", str(tmp_path / threads)],
-                env=env, check=True, capture_output=True)
-            paths.append(tmp_path / threads / "spectrum_obc.csv")
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+        one, two = run_under_blas_threads(tmp_path, [
+            "spectrum", "--model", "model_i", "--gamma", "4", "--n-sites", "50"])
+        assert (one / "spectrum_obc.csv").read_bytes() == (two / "spectrum_obc.csv").read_bytes()
 
 
 class TestWindingCommand:
@@ -265,6 +271,20 @@ class TestCorrelationsCommand:
         line = next(x for x in capsys.readouterr().out.splitlines()
                     if x.startswith("equal-time quadrature:"))
         assert f"{rep.panels} panels, {rep.evaluations} evaluations, " in line
+
+
+    def test_blas_thread_count_does_not_change_the_bytes(self, tmp_path):
+        # at omega = 0 the topological value of this channel chain is 5e-14
+        # of the largest; freq_* take its closed-form triple and lro_curve the
+        # channel resolvent, neither of which depends on the BLAS threads.
+        # The equal-time Gram product (zherk) does, so it is left out.
+        cfgfile = tmp_path / "c.yaml"
+        cfgfile.write_text(yaml.safe_dump({"correlations": {"equal_time": False}}))
+        one, two = run_under_blas_threads(tmp_path, [
+            "correlations", "--config", str(cfgfile), "--model", "model_i", "--gamma", "5",
+            "--n-sites", "100", "--omega-count", "21"])
+        for name in ("freq_nbar.csv", "freq_mbar.csv", "lro_curve.csv"):
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
 
 class TestDisorderCommand:

@@ -17,6 +17,20 @@ def stable_chain(n=8, gamma=5.0, **kw):
     return tc.build_model_i(tc.ModelIParams(n_sites=n, gamma=gamma, **kw))
 
 
+# lambda_N of model_i n=100, gamma=5 at w = 0, where s0 = 2.8e-13 is 5e-14
+# of s_max: 40 digits from the exact triangular Toeplitz inverses of the two
+# channels, in mpmath
+LAMBDA_N_G5_100 = 0.98726651562464137591
+
+
+def overflowing_resolvent(monkeypatch, scaled):
+    """Scale the resolvent by 1e160 in the calls where ``scaled(omegas)``
+    holds, so that ``Y Y^dagger`` overflows there."""
+    real = correlations.resolvent
+    monkeypatch.setattr(correlations, "resolvent", lambda h, omegas: real(h, omegas) * (
+        1e160 if scaled(omegas) else 1.0))
+
+
 class TestFreqCorrelations:
     def test_vacuum_steady_state(self):
         # loss only, no squeezing: nothing to excite
@@ -58,6 +72,25 @@ class TestFreqCorrelations:
         diff = np.abs(np.abs(fc.m_bar[10]) - row)
         assert diff[5:].max() < 0.02
         assert diff[2:].max() < 0.1
+
+    def test_topological_lro_is_exact(self, model_i_g5_100):
+        c = model_i_g5_100
+        fc = tc.freq_correlations(tc.svd_at(tc.dynamical_matrix(c), 0.0), c)
+        _, lam_n, _ = tc.lro_curve(c, [0.0])
+        for got in (tc.lro_parameter(fc.n_bar), lam_n[0]):
+            assert abs(got - LAMBDA_N_G5_100) <= 1e-14 * LAMBDA_N_G5_100
+
+    def test_overflowing_correlations_are_a_resonance(self):
+        # a hand-built s0 = 1e-200: Y = V* S^{-1} (U^T L) is finite, but
+        # Y Y^dagger overflows, and its NaN-filled normalization must not escape
+        c = stable_chain(n=6)
+        t = tc.svd_at(tc.dynamical_matrix(c), 0.0)
+        s = t.s.copy()
+        s[0] = 1e-200
+        tiny = SvdTriple(omega=t.omega, u=t.u, s=s, v=t.v)
+        for correlate in (tc.freq_correlations, tc.rank1_approximation):
+            with pytest.raises(tc.ResonanceError, match="overflows the doubles"):
+                correlate(tiny, c)
 
 
 @given(
@@ -177,6 +210,14 @@ class TestEqualTime:
     def test_tolerances_must_be_finite_and_positive(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
             QuadratureSpec(**{field: value})
+
+    @pytest.mark.parametrize("where,size", [("at a cutoff probe", 21), (r"on \[", 33)],
+                             ids=["probe", "panel"])
+    def test_overflowing_integrand_is_a_resonance(self, monkeypatch, where, size):
+        # not a QuadratureError after bisecting NaN panels up to the limit
+        overflowing_resolvent(monkeypatch, lambda omegas: omegas.size == size)
+        with pytest.raises(tc.ResonanceError, match=f"integrand {where}.* overflows the doubles"):
+            tc.equal_time(stable_chain(n=6))
 
     def test_anomalous_locked_to_normal(self):
         c = stable_chain(n=30, gamma=4.0)
@@ -447,6 +488,16 @@ class TestLroCurve:
             return real(h, omegas)
 
         monkeypatch.setattr(correlations, "resolvent", resolvent)
+        omegas, lam_n, lam_m = tc.lro_curve(c, self.GRID)
+        np.testing.assert_array_equal(omegas, np.delete(self.GRID, 40))
+        for got, want in zip((lam_n, lam_m), full[1:]):
+            np.testing.assert_allclose(got, np.delete(want, 40), rtol=1e-13, atol=0)
+
+    def test_overflowing_frequency_loses_only_its_row(self, monkeypatch):
+        c = stable_chain(n=12, gamma=5.0)
+        full = tc.lro_curve(c, self.GRID)
+        bad = self.GRID[40]
+        overflowing_resolvent(monkeypatch, lambda omegas: np.any(omegas == bad))
         omegas, lam_n, lam_m = tc.lro_curve(c, self.GRID)
         np.testing.assert_array_equal(omegas, np.delete(self.GRID, 40))
         for got, want in zip((lam_n, lam_m), full[1:]):

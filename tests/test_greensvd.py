@@ -49,19 +49,6 @@ def channel_matrices(omega, j, g_s, gamma, n):
     return plus, minus
 
 
-def count_refinements(monkeypatch):
-    """Count the calls of the channel inverse refinement."""
-    calls = []
-    original = greensvd._smallest_triple_via_inverse
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(greensvd, "_smallest_triple_via_inverse", counted)
-    return calls
-
-
 class TestChannelVerdict:
     def test_decided_once_per_chain(self, model_i_topo_50):
         c = model_i_topo_50
@@ -82,15 +69,13 @@ class TestChannelVerdict:
 
 
 class TestChannelSvd:
-    # n=40, gamma=3: the inverse refinement fires on the plus channel for
-    # |w| < 0.87 or so, and not elsewhere
+    # n=40, gamma=3: the plus channel's smallest value is below 1e-12 of the
+    # largest at the 5 frequencies with |w| < 0.87 or so (3.4e-25 at w = 0)
     CHAIN = tc.build_model_i(tc.ModelIParams(n_sites=40, gamma=3.0))
     OMEGAS = np.array([-3.1, -1.2, -0.4, 0.0, 1e-3, 0.21, 0.5, 1.3, 2.7, 6.0])
 
-    def test_batch_matches_single_frequencies_bit_for_bit(self, monkeypatch):
-        calls = count_refinements(monkeypatch)
+    def test_batch_matches_single_frequencies_bit_for_bit(self):
         batch = greensvd._channel_svd(self.OMEGAS, *self.CHAIN.channels, 40)
-        assert len(calls) == 5
         for i in range(self.OMEGAS.size):
             single = greensvd._channel_svd(self.OMEGAS[i:i + 1], *self.CHAIN.channels, 40)
             for channel, ref in zip(batch, single):
@@ -110,10 +95,9 @@ class TestChannelSvd:
             np.testing.assert_array_equal(t.v, v)
 
     def test_scalar_type_does_not_change_the_bits(self):
-        # Python and NumPy complex division round differently, and the
-        # inverse refinement raises the ratio to the n-th power; at gamma=2.5
-        # it fires at 197 of these 401 frequencies, and the two divisions
-        # give different last bits at 57 of them
+        # Python and NumPy complex division round differently, and a ratio
+        # raised to the n-th power would show it; the channel route forms its
+        # diagonals from a float64 array, so the scalar type never reaches them
         h = tc.dynamical_matrix(tc.build_model_i(tc.ModelIParams(n_sites=40, gamma=2.5)))
         for w in np.linspace(-2.0, 2.0, 401):
             a, b = tc.svd_at(h, float(w)), tc.svd_at(h, w)
@@ -128,7 +112,7 @@ class TestChannelSvd:
 # 2e-26 relative, and to 3e-29 at s0 = 1.55e-24.  A dense dgesvd of the
 # channel puts s0 4.1e-10 off at (40, 3, 1.3) and 5.4e-11 off at (100, 4, 1.5).
 MPMATH_CHANNEL_VALUES = {
-    # refined through the inverse: s0 = 1.6e-24, 7.6e-26 and 1.5e-18
+    # s0 = 1.6e-24, 1.5e-18 and 7.6e-26, below 1e-12 s_max
     (40, 3.0, 0.0): ((1.5509636485369269e-24, 1.5020882425435835, 2.06451705655024,
                       2.4987788618921156),
                      (0.5239376117313216, 0.5911434068192777, 3.2358366302274972,
@@ -141,7 +125,7 @@ MPMATH_CHANNEL_VALUES = {
                        3.1176826273296063),
                       (1.04409890748317, 1.0522098181511181, 3.656431881245968,
                        5.040792981554899)),
-    # edge branch, not refined
+    # edge branch
     (40, 3.0, 1.3): ((5.341607792068307e-07, 0.6228347529276728, 2.4543913874435646,
                       3.3903580409728415),
                      (0.835649505761371, 0.8873111815016916, 3.4934628212228698,
@@ -183,7 +167,7 @@ class TestClosedFormChannelSvd:
     @pytest.mark.parametrize("n", [40, 100])
     def test_smallest_value_matches_the_secular_root(self, n):
         # zero_singular_value solves the same secular equation, from its own
-        # lambda(omega, gamma); refined nodes take the inverse's value
+        # lambda(omega, gamma)
         for gamma in (3.0, 4.0, 5.0):
             c = tc.build_model_i(tc.ModelIParams(n_sites=n, gamma=gamma))
             omegas = np.array([w for w in np.linspace(-1.9, 1.9, 39)
@@ -243,15 +227,13 @@ class TestClosedFormChannelSvd:
 
 
 class TestInverseRefinement:
+    # the tests' reference for the closed-form channel triple: the plus
+    # channel of model_i n=100, gamma=4 at w = 0.5, where s0 = 7.6e-26
+    N, DIAG, OFFDIAG = 100, 0.5 + 1j, -2j
+
     @pytest.mark.parametrize("lower", [True, False], ids=["lower", "upper"])
     def test_inverse_is_scipy_toeplitz_bit_for_bit(self, monkeypatch, lower):
-        # model_i n=100, gamma=4, w=0.5 is refined through the inverse
-        calls = count_refinements(monkeypatch)
-        tc.svd_at(tc.dynamical_matrix(tc.build_model_i(tc.ModelIParams(n_sites=100, gamma=4.0))),
-                  0.5)
-        assert len(calls) == 1
-        n, diag, offdiag, _ = calls[0]
-        monkeypatch.undo()
+        n, diag, offdiag = self.N, self.DIAG, self.OFFDIAG
         built = []
         svd = np.linalg.svd
 
@@ -272,6 +254,20 @@ class TestInverseRefinement:
         u, s, vh = svd(want)
         for got, expected in zip(triple, (1.0 / s[0], vh[0].conj(), u[:, 0])):
             np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("lower", [True, False], ids=["lower", "upper"])
+    def test_closed_form_triple_matches_the_inverse(self, lower):
+        n, diag, offdiag = self.N, self.DIAG, self.OFFDIAG
+        c = tc.build_model_i(tc.ModelIParams(n_sites=n, gamma=4.0))
+        diags = greensvd._channel_diagonals([0.5], *c.channels[1:])
+        assert diags[0] == diag and -2j * c.channels[0] == offdiag
+        real = greensvd._real_bidiagonal_svd(n, np.abs(diags[:1]), abs(offdiag))
+        u, s, v = greensvd._bidiagonal_svd(n, diags[:1], offdiag, lower, real)
+        s0, u0, v0 = greensvd._smallest_triple_via_inverse(n, diag, offdiag, lower)
+        # the inverse's value is 1.6e-14 from the 50-digit one, the closed form 3.5e-15
+        assert abs(s[0, 0] - s0) <= 3e-14 * s0
+        for got, want in ((u[0, :, 0], u0), (v[0, :, 0], v0)):
+            assert abs(abs(np.vdot(got, want)) - 1) <= 1e-13
 
 
 class TestSvdAt:
@@ -301,12 +297,14 @@ class TestSvdAt:
         t = tc.svd_at(tc.dynamical_matrix(c), 0.0)
         assert t.s[0] == pytest.approx(2.775e-3, rel=1e-2)
 
-    def test_channel_value_below_the_refinement_raises(self):
-        # the exact s0 is 2.02e-289, beyond what the channel refinement can
-        # represent; gesvd alone would report its noise floor
-        c = tc.build_model_i(tc.ModelIParams(n_sites=320, gamma=2.5))
-        with pytest.raises(tc.ResonanceError, match="numerically resonant"):
-            tc.svd_at(tc.dynamical_matrix(c), 0.0)
+    def test_channel_value_near_the_floor_of_the_doubles(self):
+        # the exact s0 is 2.02e-289, whose inverse triangular Toeplitz matrix
+        # would overflow; gesvd alone would report its noise floor
+        h = tc.dynamical_matrix(tc.build_model_i(tc.ModelIParams(n_sites=320, gamma=2.5)))
+        s = tc.svd_at(h, 0.0).s
+        np.testing.assert_array_equal(s, tc.singular_values(h, [0.0])[0])
+        assert s[0] == pytest.approx(tc.zero_singular_value(0.0, 2.5, 320)[0], rel=1e-13, abs=0)
+        assert s[0] == pytest.approx(2.02e-289, rel=1e-3)
 
     def test_phase_gauge_deterministic(self, model_i_topo_50):
         h = tc.dynamical_matrix(model_i_topo_50)
@@ -419,7 +417,7 @@ class TestResolvent:
             ref = (t.v / t.s) @ t.u.conj().T
             assert np.linalg.norm(gw - ref) < 1e-10 * np.linalg.norm(ref)
 
-    def test_channel_route_matches_the_closed_form_inverse(self, monkeypatch):
+    def test_channel_route_matches_the_closed_form_inverse(self):
         # w*I - H = T diag(B+, B-) T^dagger, where B+ is lower and B- upper
         # bidiagonal Toeplitz with diagonal a = w + i kappa and off-diagonal
         # b; the inverse of each is triangular Toeplitz, (-b)^m / a^(m+1)
@@ -439,9 +437,7 @@ class TestResolvent:
         exact = t @ np.block([[g_plus, zero], [zero, g_minus]]) @ t.conj().T
         assert np.max(np.abs(exact)) > 1e20
 
-        calls = count_refinements(monkeypatch)
         g = tc.resolvent(tc.dynamical_matrix(c), np.array([w]))[0]
-        assert len(calls) == 1  # the plus channel's smallest value is refined
         assert np.linalg.norm(g - exact) < 1e-12 * np.linalg.norm(exact)
 
     def test_channel_blocks_are_the_channel_inverses_bit_for_bit(self):
@@ -569,38 +565,25 @@ class TestBandedResolvent:
 
 
 class TestSingularValues:
-    # the channel chain and frequencies of TestChannelSvd: 5 of the 10 nodes
-    # are refined through the inverse in svd_at
+    # the channel chain and frequencies of TestChannelSvd
     CHANNEL = TestChannelSvd.CHAIN
     OMEGAS = TestChannelSvd.OMEGAS
     # no channels; at 3 of these 11 frequencies one value lies below
     # 1e-10 s_max and is refined from the determinant
     DENSE = tc.build_model_i(tc.ModelIParams(n_sites=50, delta=0.05, gamma=4.5))
 
-    def test_channel_values_are_the_closed_form(self, monkeypatch):
+    def test_channel_values_are_the_closed_form(self):
         h = tc.dynamical_matrix(self.CHANNEL)
-        calls = count_refinements(monkeypatch)
         got = tc.singular_values(h, self.OMEGAS)
-        assert calls == []
         assert got.shape == (self.OMEGAS.size, 80)
-        refined = 0
         for w, s in zip(self.OMEGAS, got):
-            want = tc.svd_at(h, w).s
-            if len(calls) > refined:
-                refined = len(calls)
-                np.testing.assert_allclose(s, want, rtol=1e-13, atol=0)
-            else:
-                np.testing.assert_array_equal(s, want)
-        assert refined == 5
+            np.testing.assert_array_equal(s, tc.svd_at(h, w).s)
 
-    def test_refined_node_is_closer_to_mpmath(self):
-        # the 50-digit s0 of MPMATH_CHANNEL_VALUES at a node svd_at refines
+    def test_svd_at_tiny_value_matches_mpmath(self):
+        # the 50-digit s0 = 7.6e-26 of MPMATH_CHANNEL_VALUES, 1.8e-26 of s_max
         exact = MPMATH_CHANNEL_VALUES[100, 4.0, 0.5][0][0]
         h = tc.dynamical_matrix(tc.build_model_i(tc.ModelIParams(n_sites=100, gamma=4.0)))
-        new = tc.singular_values(h, [0.5])[0, 0]
-        old = tc.svd_at(h, 0.5).s[0]
-        assert abs(new - exact) < abs(old - exact)
-        assert abs(new - exact) < 1e-14 * exact
+        assert abs(tc.svd_at(h, 0.5).s[0] - exact) < 1e-14 * exact
 
     def test_dense_values_match_svd_at(self, monkeypatch):
         h = tc.dynamical_matrix(self.DENSE)
@@ -663,10 +646,14 @@ class TestSingularValues:
     @pytest.mark.parametrize("n", [350, 400], ids=["subnormal", "zero"])
     def test_underflowing_value_is_a_resonance(self, n):
         # s0 is about 2 * 8^-n at gamma = 2.5, w = 0: 1.9e-298 at n = 330,
-        # but below the normal doubles at n = 350 and zero at n = 400
+        # but below the normal doubles at n = 350 and zero at n = 400; every
+        # channel-route entry point raises rather than divide by it
         h = tc.dynamical_matrix(tc.build_model_i(tc.ModelIParams(n_sites=n, gamma=2.5)))
-        with pytest.raises(tc.ResonanceError, match="below the normal doubles"):
-            tc.singular_values(h, [1.0, 0.0])
+        for call in (lambda: tc.singular_values(h, [1.0, 0.0]),
+                     lambda: tc.svd_at(h, 0.0),
+                     lambda: tc.resolvent(h, [1.0, 0.0])):
+            with pytest.raises(tc.ResonanceError, match="omega=0.0 .* below the normal doubles"):
+                call()
 
 
 class TestAmplificationMatrix:
